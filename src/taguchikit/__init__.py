@@ -3,7 +3,7 @@
 Lay out fractional-factorial experiments on standard orthogonal arrays,
 compute signal-to-noise ratios and main effects from measured results,
 rank factor influence, and predict the optimum response with an additive
-model, with pluggable evaluators to replay recorded results or extend a
+model, with evaluators that replay recorded results or extend a
 screening to untried level combinations.
 """
 
@@ -23,20 +23,18 @@ from taguchikit.analysis import (
     read_results_csv,
     snr,
     validate,
-    weighted_optimal_levels,
 )
 from taguchikit.arrays import (
     CATALOG_NAMES,
     OrthogonalArray,
     VerificationReport,
-    array_to_csv,
     get_array,
     select_array,
     verify_orthogonality,
 )
 from taguchikit.design import Design, Factor, Run, bind, export_run_sheet, read_run_sheet
 from taguchikit.errors import TaguchiKitError
-from taguchikit.evaluators import Evaluator, SurrogateEvaluator, TableEvaluator, fit_surrogate
+from taguchikit.evaluators import SurrogateEvaluator, TableEvaluator, fit_surrogate
 
 __version__ = "0.1.0"
 
@@ -44,7 +42,6 @@ __all__ = [
     "AnalysisReport",
     "CATALOG_NAMES",
     "Design",
-    "Evaluator",
     "Factor",
     "Objective",
     "OrthogonalArray",
@@ -58,7 +55,6 @@ __all__ = [
     "TaguchiKitError",
     "VerificationReport",
     "analyze",
-    "array_to_csv",
     "bind",
     "error_percent",
     "export_run_sheet",
@@ -74,5 +70,4 @@ __all__ = [
     "snr",
     "validate",
     "verify_orthogonality",
-    "weighted_optimal_levels",
 ]

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import math
 from dataclasses import dataclass, replace
 from statistics import fmean
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from taguchikit.design import Design
 from taguchikit.errors import (
@@ -42,7 +41,6 @@ __all__ = [
     "predict_optimum",
     "error_percent",
     "validate",
-    "weighted_optimal_levels",
 ]
 
 
@@ -100,6 +98,11 @@ class RunResult:
             if not ys:
                 raise ResultsFormatError(
                     f"run {self.run_number}: response {name!r} has no replicate values"
+                )
+            if not all(map(math.isfinite, ys)):
+                bad = next(y for y in ys if not math.isfinite(y))
+                raise ResultsFormatError(
+                    f"run {self.run_number}: response {name!r} has a non-finite value: {bad!r}"
                 )
 
 
@@ -191,37 +194,36 @@ def read_results_csv(
     )
 
 
-def _merge_pair(old: RunResult, new: RunResult) -> RunResult:
-    """Concatenate replicates response-by-response, keeping keys from both."""
-    combined = {name: ys for name, ys in old.values.items()}
-    for name, ys in new.values.items():
-        combined[name] = combined.get(name, ()) + ys
-    return RunResult(old.run_number, combined)
+def group_replicates(results: Iterable[RunResult]) -> dict[int, dict[str, list[float]]]:
+    """Replicate values per run and response, ``{run: {response: [y, ...]}}``, in input order.
 
-
-def _run_means(design: Design, results: Sequence[RunResult], response: str) -> list[float]:
-    """Per-run replicate means in design row order; refuses incomplete data."""
-    by_number: dict[int, RunResult] = {}
+    A run's replicates may arrive split across any number of results;
+    this one pass is what run means, S/N ratios and table replay share.
+    """
+    groups: dict[int, dict[str, list[float]]] = {}
     for result in results:
-        if result.run_number in by_number:
-            by_number[result.run_number] = _merge_pair(by_number[result.run_number], result)
-        else:
-            by_number[result.run_number] = result
+        bucket = groups.setdefault(result.run_number, {})
+        for name, ys in result.values.items():
+            bucket.setdefault(name, []).extend(ys)
+    return groups
+
+
+def _run_replicates(
+    design: Design, groups: dict[int, dict[str, list[float]]], response: str
+) -> list[list[float]]:
+    """One response's replicates per run in design row order; refuses incomplete data."""
     design_numbers = [run.number for run in design.runs]
-    unknown = sorted(set(by_number) - set(design_numbers))
+    unknown = sorted(set(groups) - set(design_numbers))
     if unknown:
         raise IncompleteResultsError(
             f"results reference run number(s) not in the design: {', '.join(map(str, unknown))}"
         )
-    missing = [
-        n for n in design_numbers
-        if n not in by_number or not by_number[n].values.get(response)
-    ]
+    missing = [n for n in design_numbers if not groups.get(n, {}).get(response)]
     if missing:
         raise IncompleteResultsError(
             f"missing {response!r} results for run(s): {', '.join(map(str, missing))}"
         )
-    return [fmean(by_number[n].values[response]) for n in design_numbers]
+    return [groups[n][response] for n in design_numbers]
 
 
 def _level_matrix(design: Design, per_run: Sequence[float]) -> tuple[tuple[float, ...], ...]:
@@ -248,7 +250,8 @@ def level_means(
     With a balanced array every cell averages ``runs / levels`` runs, which
     is what makes these means comparable across levels.
     """
-    return _level_matrix(design, _run_means(design, results, response))
+    replicates = _run_replicates(design, group_replicates(results), response)
+    return _level_matrix(design, [fmean(ys) for ys in replicates])
 
 
 def rank_factors(
@@ -352,14 +355,12 @@ def analyze(
     """Full screening for every response: S/N, level means, deltas, ranks, optima."""
     if not specs:
         raise UnknownResponseError("at least one response spec is required")
+    groups = group_replicates(results)
     analyses = []
     for spec in specs:
-        run_means = _run_means(design, results, spec.name)
-        by_number = {r.run_number: r for r in _merge_replicates(results)}
-        snr_per_run = tuple(
-            snr(by_number[run.number].values[spec.name], spec.objective, target=spec.target)
-            for run in design.runs
-        )
+        replicates = _run_replicates(design, groups, spec.name)
+        run_means = [fmean(ys) for ys in replicates]
+        snr_per_run = tuple(snr(ys, spec.objective, target=spec.target) for ys in replicates)
         means = _level_matrix(design, run_means)
         deltas, ranks = rank_factors(means)
         best, tied = optimal_levels(means, spec.objective, target=spec.target)
@@ -378,16 +379,6 @@ def analyze(
             )
         )
     return AnalysisReport(design=design, responses=tuple(analyses))
-
-
-def _merge_replicates(results: Sequence[RunResult]) -> list[RunResult]:
-    merged: dict[int, RunResult] = {}
-    for result in results:
-        if result.run_number in merged:
-            merged[result.run_number] = _merge_pair(merged[result.run_number], result)
-        else:
-            merged[result.run_number] = result
-    return list(merged.values())
 
 
 @dataclass(frozen=True)
@@ -465,46 +456,3 @@ def validate(prediction: Prediction, confirmation_value: float) -> Prediction:
         confirmation=confirmation_value,
         error_percent=error_percent(prediction.predicted, confirmation_value),
     )
-
-
-def weighted_optimal_levels(
-    report: AnalysisReport, weights: Mapping[str, float]
-) -> tuple[int, ...]:
-    """Single compromise level combination for conflicting per-response optima.
-
-    Desk heuristic, not part of the classical screening procedure: each
-    response's level means are scaled per factor to [0, 1] with 0 at that
-    response's best level, then combined as a weighted sum and minimized.
-    Weights must be non-negative with at least one positive entry.
-    """
-    if not weights:
-        raise UnknownResponseError("weighted recommendation needs at least one weight")
-    for name in weights:
-        report.response(name)  # raises on unknown names
-    if any(w < 0 for w in weights.values()) or all(w == 0 for w in weights.values()):
-        raise ValueError("weights must be non-negative and not all zero")
-    factor_count = len(report.design.factors)
-    choices = []
-    for f in range(factor_count):
-        level_count = len(report.design.factors[f].levels)
-        scores = [0.0] * level_count
-        for name, weight in weights.items():
-            analysis = report.response(name)
-            row = analysis.level_means[f]
-            spread = max(row) - min(row)
-            if spread == 0.0:
-                continue
-            if analysis.spec.objective is Objective.SMALLER_IS_BETTER:
-                scaled = [(m - min(row)) / spread for m in row]
-            elif analysis.spec.objective is Objective.LARGER_IS_BETTER:
-                scaled = [(max(row) - m) / spread for m in row]
-            else:
-                dist = [abs(m - (analysis.spec.target or 0.0)) for m in row]
-                dspread = max(dist) - min(dist)
-                scaled = [0.0] * level_count if dspread == 0 else [
-                    (d - min(dist)) / dspread for d in dist
-                ]
-            for level in range(level_count):
-                scores[level] += weight * scaled[level]
-        choices.append(min(range(level_count), key=lambda l: (scores[l], l)))
-    return tuple(choices)

@@ -9,8 +9,6 @@ labels elsewhere.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
@@ -26,13 +24,12 @@ __all__ = [
     "get_array",
     "select_array",
     "verify_orthogonality",
-    "array_to_csv",
 ]
 
 
 @dataclass(frozen=True)
 class OrthogonalArray:
-    """A runs x columns matrix of level indices with declared strength.
+    """A runs x columns matrix of level indices.
 
     Construction checks structure only (rectangular, integer cells in
     range). Balance and pairwise orthogonality are checked separately by
@@ -43,14 +40,11 @@ class OrthogonalArray:
     name: str
     levels_per_column: tuple[int, ...]
     cells: tuple[tuple[int, ...], ...]
-    strength: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels_per_column", tuple(self.levels_per_column))
         object.__setattr__(self, "cells", tuple(tuple(row) for row in self.cells))
         _check_structure(self.cells, self.levels_per_column)
-        if self.strength < 1:
-            raise ArrayStructureError(f"strength must be >= 1, got {self.strength}")
 
     @property
     def runs(self) -> int:
@@ -319,13 +313,3 @@ def select_array(factor_count: int, levels: int) -> OrthogonalArray:
         for q in sorted({a.levels_per_column[0] for a in _CATALOG.values()})
     )
     raise CapacityError(f"no catalog array has {levels}-level columns; available: {available}")
-
-
-def array_to_csv(array: OrthogonalArray) -> str:
-    """Render the level-index matrix as CSV for audit (header ``c1..cK``)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"c{j + 1}" for j in range(array.columns)])
-    for row in array.cells:
-        writer.writerow(row)
-    return buf.getvalue()

@@ -48,7 +48,7 @@ class ProjectConfig:
 def load_config(path: str | Path) -> ProjectConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
@@ -190,7 +190,7 @@ def _analyze_from_files(config_path: str, results_path: str, array_override: str
     config = load_config(config_path)
     design, _ = build_design(config, array_override)
     try:
-        text = Path(results_path).read_text(encoding="utf-8")
+        text = Path(results_path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read results {results_path}: {exc}") from None
     results = read_results_csv(text, expected_responses=[r.name for r in config.responses])
@@ -250,7 +250,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.prediction)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read prediction {path}: {exc}") from None
     try:

@@ -13,40 +13,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Mapping, Sequence
 
-from taguchikit.analysis import AnalysisReport, RunResult
+from taguchikit.analysis import AnalysisReport, RunResult, group_replicates
 from taguchikit.arrays import verify_orthogonality
 from taguchikit.design import Design
 from taguchikit.errors import (
     CombinationNotCoveredError,
     InvalidLevelError,
+    ResultsFormatError,
     UnbalancedDesignError,
     UnknownResponseError,
 )
 from taguchikit.formatting import number_label
 
-__all__ = ["Evaluator", "TableEvaluator", "SurrogateEvaluator", "fit_surrogate"]
-
-
-class Evaluator(ABC):
-    """Deterministic mapping from factor settings to a response value."""
-
-    @property
-    @abstractmethod
-    def responses(self) -> tuple[str, ...]:
-        """Response names this evaluator can answer."""
-
-    @abstractmethod
-    def covers(self, settings: Mapping[str, float]) -> bool:
-        """Whether the given factor/level combination can be answered."""
-
-    @abstractmethod
-    def evaluate(self, settings: Mapping[str, float], response: str | None = None) -> float:
-        """Response value at the given settings; same query, same answer."""
+__all__ = ["TableEvaluator", "SurrogateEvaluator", "fit_surrogate"]
 
 
 def _settings_key(
@@ -63,7 +46,7 @@ def _format_key(key: tuple[float, ...]) -> str:
 
 
 @dataclass(frozen=True)
-class TableEvaluator(Evaluator):
+class TableEvaluator:
     """Replays recorded run results, keyed by the exact level combination.
 
     Keys use the declared level values verbatim (levels are enumerated
@@ -79,31 +62,22 @@ class TableEvaluator(Evaluator):
     )
 
     def __post_init__(self) -> None:
-        index: dict[tuple[float, ...], dict[str, tuple[float, ...]]] = {}
-        for _, key, values in self.rows:
-            bucket = index.setdefault(key, {name: () for name in self.response_names})
-            for name, ys in values.items():
-                bucket[name] = bucket[name] + ys
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", {key: values for _, key, values in self.rows})
 
     @classmethod
     def from_results(cls, design: Design, results: Sequence[RunResult]) -> "TableEvaluator":
-        factor_names = design.factor_names
-        response_names: tuple[str, ...] = ()
-        for result in results:
-            for name in result.values:
-                if name not in response_names:
-                    response_names += (name,)
+        """One row per run, its replicates grouped across however many results carried them."""
+        response_names = tuple(dict.fromkeys(name for result in results for name in result.values))
         by_number = {run.number: run for run in design.runs}
         rows = []
-        for result in sorted(results, key=lambda r: r.run_number):
-            if result.run_number not in by_number:
-                raise CombinationNotCoveredError(
-                    f"run {result.run_number} is not part of the design"
-                )
-            key = _settings_key(by_number[result.run_number].settings, factor_names)
-            rows.append((result.run_number, key, dict(result.values)))
-        return cls(factor_names=factor_names, response_names=response_names, rows=tuple(rows))
+        for number, values in sorted(group_replicates(results).items()):
+            if number not in by_number:
+                raise CombinationNotCoveredError(f"run {number} is not part of the design")
+            key = _settings_key(by_number[number].settings, design.factor_names)
+            rows.append((number, key, {name: tuple(ys) for name, ys in values.items()}))
+        return cls(
+            factor_names=design.factor_names, response_names=response_names, rows=tuple(rows)
+        )
 
     @property
     def responses(self) -> tuple[str, ...]:
@@ -138,8 +112,7 @@ class TableEvaluator(Evaluator):
         def distance(recorded: tuple[float, ...]) -> int:
             return sum(1 for a, b in zip(recorded, key) if a != b)
 
-        unique = list(dict.fromkeys(k for _, k, _ in self.rows))
-        return sorted(unique, key=distance)[:count]
+        return sorted(self._index, key=distance)[:count]
 
     def to_results_csv(self) -> str:
         """Re-emit the recorded table in the results CSV format, values verbatim."""
@@ -147,8 +120,13 @@ class TableEvaluator(Evaluator):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["run"] + list(self.response_names))
         for number, _, values in self.rows:
-            depth = max(len(values.get(name, ())) for name in self.response_names)
-            for i in range(depth):
+            depths = {len(values.get(name, ())) for name in self.response_names}
+            if len(depths) != 1:
+                raise ResultsFormatError(
+                    f"run {number}: responses have unequal replicate counts, "
+                    "which the results CSV format cannot represent"
+                )
+            for i in range(depths.pop()):
                 writer.writerow(
                     [number]
                     + [number_label(values[name][i]) for name in self.response_names]
@@ -157,7 +135,7 @@ class TableEvaluator(Evaluator):
 
 
 @dataclass(frozen=True)
-class SurrogateEvaluator(Evaluator):
+class SurrogateEvaluator:
     """Additive stand-in fitted from a balanced screening.
 
     Evaluation at a level combination is the grand mean plus one offset

@@ -22,7 +22,6 @@ from taguchikit.analysis import (
     read_results_csv,
     snr,
     validate,
-    weighted_optimal_levels,
 )
 from taguchikit.arrays import OrthogonalArray, get_array
 from taguchikit.design import Factor, bind
@@ -34,7 +33,9 @@ from taguchikit.errors import (
     SingularityError,
     UnknownResponseError,
 )
+from taguchikit.evaluators import TableEvaluator
 from taguchikit.formatting import fixed_value
+from taguchikit.reporting import report_to_json
 
 # Recorded simulation responses for the clip study, in run order. Typed
 # here independently of the fixture CSV so oracle sums do not share a
@@ -163,6 +164,34 @@ class TestLevelMeans:
         combined = [RunResult(n, {"a": (float(n),), "b": (float(2 * n),)}) for n in range(1, 10)]
         assert level_means(clip_design, split, "a") == level_means(clip_design, combined, "a")
         assert level_means(clip_design, split, "b") == level_means(clip_design, combined, "b")
+
+
+@st.composite
+def split_and_shuffled(draw, recorded):
+    """The recorded replicates spread over up to three results per run, in random order."""
+    parts: dict[tuple[int, int], dict[str, list[float]]] = {}
+    for result in recorded:
+        for name, ys in result.values.items():
+            for y in ys:
+                part = draw(st.integers(0, 2))
+                parts.setdefault((result.run_number, part), {}).setdefault(name, []).append(y)
+    results = [RunResult(run, values) for (run, _), values in parts.items()]
+    return draw(st.permutations(results))
+
+
+class TestSplitReplicates:
+    @given(data=st.data())
+    def test_split_input_reproduces_the_frozen_report(
+        self, clip_design, clip_results, clip_config, fixtures_dir, data
+    ):
+        split = data.draw(split_and_shuffled(clip_results))
+        report = analyze(clip_design, split, clip_config.responses)
+        expected = (fixtures_dir / "expected_report.json").read_text(encoding="utf-8")
+        assert report_to_json(report) == expected
+        table = TableEvaluator.from_results(clip_design, split)
+        for analysis in report.responses:
+            replayed = [table.evaluate(run.settings, analysis.spec.name) for run in clip_design.runs]
+            assert replayed == list(analysis.run_means)
 
 
 class TestRanking:
@@ -352,24 +381,6 @@ class TestResultsCsv:
     def test_empty_table(self):
         with pytest.raises(ResultsFormatError, match="empty"):
             read_results_csv("")
-
-
-class TestWeightedCompromise:
-    def test_pure_weights_recover_per_response_optima(self, clip_report):
-        assert weighted_optimal_levels(clip_report, {"cycle_time": 1.0}) == (2, 0, 1, 0)
-        assert weighted_optimal_levels(clip_report, {"shrinkage": 1.0}) == (2, 0, 0, 1)
-
-    def test_mixed_weights_give_valid_combination(self, clip_report):
-        choices = weighted_optimal_levels(clip_report, {"cycle_time": 0.5, "shrinkage": 0.5})
-        assert len(choices) == 4
-        assert all(0 <= level < 3 for level in choices)
-        assert choices[:2] == (2, 0)  # responses agree on the two leading factors
-
-    def test_rejects_bad_weights(self, clip_report):
-        with pytest.raises(ValueError, match="non-negative"):
-            weighted_optimal_levels(clip_report, {"cycle_time": -1.0})
-        with pytest.raises(UnknownResponseError):
-            weighted_optimal_levels(clip_report, {"warpage": 1.0})
 
 
 class TestSpecs:

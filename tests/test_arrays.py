@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from taguchikit.arrays import (
     CATALOG_NAMES,
     OrthogonalArray,
-    array_to_csv,
     get_array,
     select_array,
     verify_orthogonality,
@@ -160,8 +159,3 @@ class TestStructure:
     def test_constructor_rejects_single_level_column(self):
         with pytest.raises(ArrayStructureError):
             OrthogonalArray("bad", (1, 2), ((0, 0), (0, 1)))
-
-    def test_csv_export(self):
-        assert array_to_csv(get_array("L4")) == (
-            "c1,c2,c3\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n"
-        )

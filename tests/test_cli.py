@@ -124,6 +124,27 @@ class TestAnalyzeCommand:
         assert main(["analyze", config, str(broken)]) == 2
         assert "row 2, column 'cycle_time'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_is_rejected(self, fixture_paths, tmp_path, capsys, cell):
+        config, results = fixture_paths
+        text = Path(results).read_text(encoding="utf-8").replace("49.4161", cell)
+        broken = tmp_path / "non_finite.csv"
+        broken.write_text(text, encoding="utf-8")
+        assert main(["analyze", config, str(broken), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: run 1: response 'cycle_time' has a non-finite value: {float(cell)!r}\n"
+        )
+
+    def test_byte_order_mark_is_ignored(self, fixture_paths, fixtures_dir, tmp_path, capsys):
+        config, results = fixture_paths
+        exported = tmp_path / "excel.csv"
+        exported.write_text("\ufeff" + Path(results).read_text(encoding="utf-8"), encoding="utf-8")
+        assert main(["analyze", config, str(exported), "--format", "json"]) == 0
+        expected = (fixtures_dir / "expected_report.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
 
 class TestPredictCommand:
     def test_default_levels_are_the_optimum(self, fixture_paths, capsys):

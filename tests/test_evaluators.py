@@ -13,6 +13,7 @@ from taguchikit.design import Factor, bind
 from taguchikit.errors import (
     CombinationNotCoveredError,
     InvalidLevelError,
+    ResultsFormatError,
     UnbalancedDesignError,
     UnknownResponseError,
 )
@@ -93,6 +94,28 @@ class TestTableEvaluator:
         results = [RunResult(1, {"y": (10.0, 14.0)}), RunResult(2, {"y": (20.0,)})]
         evaluator = TableEvaluator.from_results(design, results)
         assert evaluator.evaluate({"x": 1.0}, "y") == 12.0
+
+    def test_run_split_across_results_reemits_one_row_per_run(
+        self, clip_design, clip_results, fixtures_dir
+    ):
+        split = [
+            RunResult(r.run_number, {name: ys})
+            for r in clip_results
+            for name, ys in r.values.items()
+        ]
+        original = (fixtures_dir / "clip_moulding_results.csv").read_text(encoding="utf-8")
+        assert TableEvaluator.from_results(clip_design, split).to_results_csv() == original
+
+    def test_unequal_replicate_counts_cannot_be_reemitted(self):
+        array = OrthogonalArray("pair", (2,), ((0,), (1,)))
+        design = bind(array, (Factor("x", "", (1.0, 2.0)),))
+        results = [
+            RunResult(1, {"a": (1.0,), "b": (2.0,)}),
+            RunResult(2, {"a": (3.0, 4.0), "b": (5.0,)}),
+        ]
+        table = TableEvaluator.from_results(design, results)
+        with pytest.raises(ResultsFormatError, match="run 2"):
+            table.to_results_csv()
 
 
 class TestSurrogate:
