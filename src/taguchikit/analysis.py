@@ -8,15 +8,16 @@ ranking.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from taguchikit.design import Design
+from taguchikit.design import Design, _read_run_table
 from taguchikit.errors import (
+    ConfigError,
     ConfirmationError,
     IncompleteResultsError,
     InvalidLevelError,
@@ -56,7 +57,7 @@ class Objective(enum.Enum):
         for member in cls:
             if member.value == text:
                 return member
-        raise ValueError(
+        raise ConfigError(
             f"unknown objective {text!r}; expected one of: "
             + ", ".join(m.value for m in cls)
         )
@@ -73,12 +74,12 @@ class ResponseSpec:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ValueError("response name must be non-empty")
+            raise ConfigError("response name must be non-empty")
         if self.objective is Objective.NOMINAL_IS_BEST:
             if self.target is None or not math.isfinite(self.target):
-                raise ValueError(f"response {self.name!r}: nominal-the-best needs a finite target")
+                raise ConfigError(f"response {self.name!r}: nominal-the-best needs a finite target")
         elif self.target is not None:
-            raise ValueError(f"response {self.name!r}: target only applies to nominal-the-best")
+            raise ConfigError(f"response {self.name!r}: target only applies to nominal-the-best")
 
 
 @dataclass(frozen=True)
@@ -121,27 +122,34 @@ def snr(
 
     Raises :class:`SingularityError` when the log argument degenerates to
     zero (all-zero values, a zero value under larger-the-better, or every
-    value exactly on target).
+    value exactly on target), or leaves the floating-point range.
     """
     ys = [float(v) for v in values]
     if not ys:
         raise SingularityError("S/N ratio needs at least one value")
-    if objective is Objective.SMALLER_IS_BETTER:
-        msd = fmean(y * y for y in ys)
-        if msd == 0.0:
-            raise SingularityError("smaller-the-better S/N undefined for all-zero values")
-    elif objective is Objective.LARGER_IS_BETTER:
-        if any(y == 0.0 for y in ys):
-            raise SingularityError("larger-the-better S/N undefined when any value is zero")
-        msd = fmean(1.0 / (y * y) for y in ys)
-    elif objective is Objective.NOMINAL_IS_BEST:
-        if target is None:
-            raise SingularityError("nominal-the-best S/N needs a target")
-        msd = fmean((y - target) ** 2 for y in ys)
-        if msd == 0.0:
-            raise SingularityError("nominal-the-best S/N undefined when every value equals the target")
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unhandled objective {objective!r}")
+    try:
+        if objective is Objective.SMALLER_IS_BETTER:
+            msd = fmean(y * y for y in ys)
+            if msd == 0.0:
+                raise SingularityError("smaller-the-better S/N undefined for all-zero values")
+        elif objective is Objective.LARGER_IS_BETTER:
+            if any(y == 0.0 for y in ys):
+                raise SingularityError("larger-the-better S/N undefined when any value is zero")
+            msd = fmean(1.0 / (y * y) for y in ys)
+        elif objective is Objective.NOMINAL_IS_BEST:
+            if target is None:
+                raise SingularityError("nominal-the-best S/N needs a target")
+            msd = fmean((y - target) ** 2 for y in ys)
+            if msd == 0.0:
+                raise SingularityError(
+                    "nominal-the-best S/N undefined when every value equals the target"
+                )
+        else:  # pragma: no cover - enum is closed
+            raise ValueError(f"unhandled objective {objective!r}")
+    except (OverflowError, ZeroDivisionError):
+        msd = math.inf
+    if not 0.0 < msd < math.inf:
+        raise SingularityError(f"{objective.value} S/N is out of the floating-point range")
     return -10.0 * math.log10(msd)
 
 
@@ -153,17 +161,10 @@ def read_results_csv(
 
     Repeated rows for the same run number are treated as replicates and
     appended in file order. Bad cells are reported with their row number
-    and column name.
+    and column name; the row number is the line number in the file.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
-    rows = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
-    if not rows:
-        raise ResultsFormatError("results table is empty")
-    reader = csv.reader(rows)
-    header = [h.strip() for h in next(reader)]
-    if not header or header[0] != "run":
-        raise ResultsFormatError("results table must start with a 'run' column")
-    responses = header[1:]
+    table = _read_run_table(text, "results table")
+    responses = next(table)[1:]
     if not responses:
         raise ResultsFormatError("results table has no response columns")
     if expected_responses is not None:
@@ -173,15 +174,9 @@ def read_results_csv(
                 f"results table lacks response column(s): {', '.join(missing)}"
             )
     replicates: dict[int, dict[str, list[float]]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise ResultsFormatError(f"row {lineno}: expected {len(header)} cells, got {len(row)}")
-        try:
-            number = int(row[0])
-        except ValueError:
-            raise ResultsFormatError(f"row {lineno}, column 'run': not an integer: {row[0]!r}") from None
+    for lineno, number, cells in table:
         bucket = replicates.setdefault(number, {name: [] for name in responses})
-        for name, cell in zip(responses, row[1:]):
+        for name, cell in zip(responses, cells):
             try:
                 bucket[name].append(float(cell))
             except ValueError:
@@ -224,6 +219,33 @@ def _run_replicates(
             f"missing {response!r} results for run(s): {', '.join(map(str, missing))}"
         )
     return [groups[n][response] for n in design_numbers]
+
+
+def _run_statistics(
+    design: Design, groups: dict[int, dict[str, list[float]]], spec: ResponseSpec
+) -> tuple[list[float], tuple[float, ...]]:
+    """Mean and S/N ratio of each run's replicates, in design row order.
+
+    A run mean must lie within ``max_float / (2 * (runs + factors))``, so that
+    level means, deltas, the grand mean and every additive prediction built
+    from the means stay finite.
+    """
+    limit = sys.float_info.max / (2 * (len(design.runs) + len(design.factors)))
+    means, ratios = [], []
+    for run, ys in zip(design.runs, _run_replicates(design, groups, spec.name)):
+        where = f"run {run.number}: response {spec.name!r}"
+        try:
+            mean = fmean(ys)
+        except OverflowError:  # the replicates' sum is beyond the double range
+            mean = math.inf
+        if not abs(mean) <= limit:
+            raise SingularityError(f"{where}: mean is beyond the additive model's limit of {limit:.3g}")
+        try:
+            ratios.append(snr(ys, spec.objective, target=spec.target))
+        except SingularityError as exc:
+            raise SingularityError(f"{where}: {exc}") from None
+        means.append(mean)
+    return means, tuple(ratios)
 
 
 def _level_matrix(design: Design, per_run: Sequence[float]) -> tuple[tuple[float, ...], ...]:
@@ -358,9 +380,7 @@ def analyze(
     groups = group_replicates(results)
     analyses = []
     for spec in specs:
-        replicates = _run_replicates(design, groups, spec.name)
-        run_means = [fmean(ys) for ys in replicates]
-        snr_per_run = tuple(snr(ys, spec.objective, target=spec.target) for ys in replicates)
+        run_means, snr_per_run = _run_statistics(design, groups, spec)
         means = _level_matrix(design, run_means)
         deltas, ranks = rank_factors(means)
         best, tied = optimal_levels(means, spec.objective, target=spec.target)
@@ -446,7 +466,10 @@ def error_percent(predicted: float, confirmed: float) -> float:
     """
     if not math.isfinite(confirmed) or confirmed <= 0:
         raise ConfirmationError(f"confirmation value must be positive, got {confirmed!r}")
-    return abs(confirmed - predicted) / confirmed * 100.0
+    error = abs(confirmed - predicted) / confirmed * 100.0
+    if not math.isfinite(error):
+        raise ConfirmationError(f"error percentage is out of the floating-point range: {error!r}")
+    return error
 
 
 def validate(prediction: Prediction, confirmation_value: float) -> Prediction:

@@ -44,7 +44,26 @@ class OrthogonalArray:
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels_per_column", tuple(self.levels_per_column))
         object.__setattr__(self, "cells", tuple(tuple(row) for row in self.cells))
-        _check_structure(self.cells, self.levels_per_column)
+        cells, levels = self.cells, self.levels_per_column
+        if not cells:
+            raise ArrayStructureError("array has no runs")
+        if not levels:
+            raise ArrayStructureError("array has no columns")
+        for q in levels:
+            if not isinstance(q, int) or q < 2:
+                raise ArrayStructureError(f"each column needs >= 2 levels, got {q!r}")
+        for i, row in enumerate(cells):
+            if len(row) != len(levels):
+                raise ArrayStructureError(
+                    f"ragged matrix: row {i + 1} has {len(row)} cells, expected {len(levels)}"
+                )
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ArrayStructureError(f"cell ({i + 1},{j + 1}) is not an integer: {v!r}")
+                if not 0 <= v < levels[j]:
+                    raise ArrayStructureError(
+                        f"cell ({i + 1},{j + 1}) out of range: {v} not in [0, {levels[j]})"
+                    )
 
     @property
     def runs(self) -> int:
@@ -56,29 +75,6 @@ class OrthogonalArray:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.cells)
-
-
-def _check_structure(cells: Sequence[Sequence[int]], levels_per_column: Sequence[int]) -> None:
-    if not cells:
-        raise ArrayStructureError("array has no runs")
-    if not levels_per_column:
-        raise ArrayStructureError("array has no columns")
-    width = len(levels_per_column)
-    for q in levels_per_column:
-        if not isinstance(q, int) or q < 2:
-            raise ArrayStructureError(f"each column needs >= 2 levels, got {q!r}")
-    for i, row in enumerate(cells):
-        if len(row) != width:
-            raise ArrayStructureError(
-                f"ragged matrix: row {i + 1} has {len(row)} cells, expected {width}"
-            )
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ArrayStructureError(f"cell ({i + 1},{j + 1}) is not an integer: {v!r}")
-            if not 0 <= v < levels_per_column[j]:
-                raise ArrayStructureError(
-                    f"cell ({i + 1},{j + 1}) out of range: {v} not in [0, {levels_per_column[j]})"
-                )
 
 
 @dataclass(frozen=True)
@@ -130,19 +126,14 @@ def verify_orthogonality(
     ragged matrix or out-of-range cells, which is a different failure
     mode than returning a report with violations.
     """
-    if isinstance(array, OrthogonalArray):
-        cells = array.cells
-        levels = array.levels_per_column
-    else:
-        cells = tuple(tuple(row) for row in array)
-        if not cells:
-            raise ArrayStructureError("array has no runs")
-        if levels_per_column is not None:
-            levels = tuple(levels_per_column)
-        else:
-            width = len(cells[0])
-            levels = tuple(max(max(row[j] for row in cells) + 1, 2) for j in range(width))
-        _check_structure(cells, levels)
+    if not isinstance(array, OrthogonalArray):
+        rows = tuple(tuple(row) for row in array)
+        if levels_per_column is None and rows:
+            columns = range(len(rows[0]))
+            levels_per_column = [max(max(r[j] for r in rows if j < len(r)) + 1, 2) for j in columns]
+        array = OrthogonalArray("matrix", levels_per_column or (), rows)
+    cells = array.cells
+    levels = array.levels_per_column
 
     runs = len(cells)
     balance: list[BalanceViolation] = []

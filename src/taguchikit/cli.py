@@ -45,12 +45,17 @@ class ProjectConfig:
     precision: dict[str, int] = field(default_factory=dict)
 
 
+def _read_input(path: str | Path, what: str) -> str:
+    """Text of an input file; a UTF-8 byte-order mark (as in Excel exports) is dropped."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def load_config(path: str | Path) -> ProjectConfig:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    text = _read_input(path, "config")
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -68,20 +73,25 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
     if not isinstance(array, str) or not array:
         raise fail("array", "expected an array name or 'auto'")
 
-    raw_factors = data.get("factors")
-    if not isinstance(raw_factors, list) or not raw_factors:
-        raise fail("factors", "expected a non-empty list")
+    def entries(key: str, fields: str):
+        """Each mapping of the non-empty list ``data[key]``, with its checked name and unit."""
+        raw = data.get(key)
+        if not isinstance(raw, list) or not raw:
+            raise fail(key, "expected a non-empty list")
+        for i, item in enumerate(raw):
+            loc = f"{key}[{i}]"
+            if not isinstance(item, dict):
+                raise fail(loc, f"expected a mapping with {fields}")
+            name = item.get("name")
+            if not isinstance(name, str) or not name:
+                raise fail(f"{loc}.name", "expected a non-empty string")
+            unit = item.get("unit", "")
+            if not isinstance(unit, str):
+                raise fail(f"{loc}.unit", "expected a string")
+            yield loc, item, name, unit
+
     factors = []
-    for i, item in enumerate(raw_factors):
-        loc = f"factors[{i}]"
-        if not isinstance(item, dict):
-            raise fail(loc, "expected a mapping with name/unit/levels")
-        name = item.get("name")
-        if not isinstance(name, str) or not name:
-            raise fail(f"{loc}.name", "expected a non-empty string")
-        unit = item.get("unit", "")
-        if not isinstance(unit, str):
-            raise fail(f"{loc}.unit", "expected a string")
+    for loc, item, name, unit in entries("factors", "name/unit/levels"):
         levels = item.get("levels")
         if not isinstance(levels, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in levels
@@ -89,26 +99,14 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
             raise fail(f"{loc}.levels", "expected a list of numbers")
         try:
             factors.append(Factor(name=name, unit=unit, levels=tuple(levels)))
-        except TaguchiKitError as exc:
+        except (TaguchiKitError, OverflowError) as exc:
             raise fail(loc, str(exc)) from None
 
-    raw_responses = data.get("responses")
-    if not isinstance(raw_responses, list) or not raw_responses:
-        raise fail("responses", "expected a non-empty list")
     responses = []
-    for i, item in enumerate(raw_responses):
-        loc = f"responses[{i}]"
-        if not isinstance(item, dict):
-            raise fail(loc, "expected a mapping with name/unit/objective")
-        name = item.get("name")
-        if not isinstance(name, str) or not name:
-            raise fail(f"{loc}.name", "expected a non-empty string")
-        unit = item.get("unit", "")
-        if not isinstance(unit, str):
-            raise fail(f"{loc}.unit", "expected a string")
+    for loc, item, name, unit in entries("responses", "name/unit/objective"):
         try:
             objective = Objective.from_string(item.get("objective", ""))
-        except ValueError as exc:
+        except TaguchiKitError as exc:
             raise fail(f"{loc}.objective", str(exc)) from None
         target = item.get("target")
         if target is not None and not isinstance(target, (int, float)):
@@ -122,7 +120,7 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
                     target=float(target) if target is not None else None,
                 )
             )
-        except ValueError as exc:
+        except (TaguchiKitError, OverflowError) as exc:
             raise fail(loc, str(exc)) from None
     names = [r.name for r in responses]
     dupes = sorted({n for n in names if names.count(n) > 1})
@@ -142,6 +140,9 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
             f"unknown quantity name(s): {', '.join(unknown)}; "
             f"expected: {', '.join(sorted(reporting.REPORT_PRECISION))}",
         )
+    for key, decimals in precision.items():
+        if not 0 <= decimals <= 15:
+            raise fail(f"precision.{key}", f"expected 0 to 15 decimals, got {decimals}")
 
     return ProjectConfig(
         array=array,
@@ -189,10 +190,7 @@ def _write_output(path: str | None, text: str) -> None:
 def _analyze_from_files(config_path: str, results_path: str, array_override: str | None) -> tuple[ProjectConfig, AnalysisReport]:
     config = load_config(config_path)
     design, _ = build_design(config, array_override)
-    try:
-        text = Path(results_path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ConfigError(f"cannot read results {results_path}: {exc}") from None
+    text = _read_input(results_path, "results")
     results = read_results_csv(text, expected_responses=[r.name for r in config.responses])
     return config, analyze(design, results, config.responses)
 
@@ -248,15 +246,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.prediction)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ConfigError(f"cannot read prediction {path}: {exc}") from None
+    text = _read_input(args.prediction, "prediction")
     try:
         prediction = reporting.prediction_from_json_dict(json.loads(text))
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{args.prediction}: {exc}") from None
     confirmed = validate(prediction, args.confirmed)
     if args.format == "json":
         _write_output(args.out, reporting.prediction_to_json(confirmed))
@@ -271,40 +265,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Orthogonal-array experiment design, S/N analysis, and optimum prediction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write to file instead of stdout")
+    project = argparse.ArgumentParser(add_help=False, parents=[out])
+    project.add_argument("config", help="project config (YAML)")
+    project.add_argument("--array", help="override the configured array (name or 'auto')")
+    study = argparse.ArgumentParser(add_help=False, parents=[project])
+    study.add_argument("results", help="results CSV (run,<response>,...)")
 
-    p_design = sub.add_parser("design", help="emit the run sheet for a project config")
-    p_design.add_argument("config", help="project config (YAML)")
-    p_design.add_argument("--array", help="override the configured array (name or 'auto')")
-    p_design.add_argument("--out", help="write to file instead of stdout")
+    p_design = sub.add_parser(
+        "design", parents=[project], help="emit the run sheet for a project config"
+    )
     p_design.set_defaults(handler=_cmd_design)
 
-    p_analyze = sub.add_parser("analyze", help="screen measured results")
-    p_analyze.add_argument("config", help="project config (YAML)")
-    p_analyze.add_argument("results", help="results CSV (run,<response>,...)")
-    p_analyze.add_argument("--array", help="override the configured array")
+    p_analyze = sub.add_parser("analyze", parents=[study], help="screen measured results")
     p_analyze.add_argument("--format", choices=("json", "text"), default="text")
-    p_analyze.add_argument("--out", help="write to file instead of stdout")
     p_analyze.add_argument("--plot-data", help="also write main-effects plot data CSV here")
     p_analyze.set_defaults(handler=_cmd_analyze)
 
-    p_predict = sub.add_parser("predict", help="additive prediction at chosen levels")
-    p_predict.add_argument("config", help="project config (YAML)")
-    p_predict.add_argument("results", help="results CSV")
-    p_predict.add_argument("--array", help="override the configured array")
+    p_predict = sub.add_parser(
+        "predict", parents=[study], help="additive prediction at chosen levels"
+    )
     p_predict.add_argument("--response", required=True, help="response to predict")
     p_predict.add_argument(
         "--levels",
         help="comma-separated physical values, one per factor (default: per-response optimum)",
     )
     p_predict.add_argument("--format", choices=("json", "text"), default="json")
-    p_predict.add_argument("--out", help="write to file instead of stdout")
     p_predict.set_defaults(handler=_cmd_predict)
 
-    p_validate = sub.add_parser("validate", help="compare a prediction with a confirmation run")
+    p_validate = sub.add_parser(
+        "validate", parents=[out], help="compare a prediction with a confirmation run"
+    )
     p_validate.add_argument("prediction", help="prediction JSON from 'predict'")
     p_validate.add_argument("--confirmed", type=float, required=True, help="measured confirmation value")
     p_validate.add_argument("--format", choices=("json", "text"), default="text")
-    p_validate.add_argument("--out", help="write to file instead of stdout")
     p_validate.set_defaults(handler=_cmd_validate)
 
     return parser
@@ -314,10 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except TaguchiKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TaguchiKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

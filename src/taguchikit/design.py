@@ -6,7 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from taguchikit.arrays import OrthogonalArray
 from taguchikit.errors import BindError, ResultsFormatError
@@ -76,12 +76,6 @@ class Design:
     def factor_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.factors)
 
-    def factor(self, name: str) -> Factor:
-        for f in self.factors:
-            if f.name == name:
-                return f
-        raise BindError(f"no factor named {name!r} in design")
-
     def runs_at(self, factor_index: int, level_index: int) -> tuple[int, ...]:
         """0-based row positions where the given factor sits at the given level."""
         return tuple(
@@ -138,30 +132,64 @@ def read_run_sheet(text: str | Iterable[str]) -> tuple[Run, ...]:
     Lines starting with ``#`` are ignored so annotated exports round-trip.
     Header units in parentheses are stripped from the factor names.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
-    rows = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
-    if not rows:
-        raise ResultsFormatError("run sheet is empty")
-    reader = csv.reader(rows)
-    header = next(reader)
-    if not header or header[0].strip() != "run":
-        raise ResultsFormatError("run sheet must start with a 'run' column")
-    names = [_strip_unit(h) for h in header[1:]]
+    table = _read_run_table(text, "run sheet")
+    names = [_strip_unit(h) for h in next(table)[1:]]
     runs: list[Run] = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise ResultsFormatError(f"row {lineno}: expected {len(header)} cells, got {len(row)}")
+    for lineno, number, cells in table:
         try:
-            number = int(row[0])
-            values = [float(cell) for cell in row[1:]]
+            values = [float(cell) for cell in cells]
         except ValueError as exc:
             raise ResultsFormatError(f"row {lineno}: {exc}") from None
         runs.append(Run(number, dict(zip(names, values))))
     return tuple(runs)
 
 
+def _read_run_table(text: str | Iterable[str], what: str) -> Iterator:
+    """Read a ``run,<column>,...`` CSV table: yield its header, then ``(line, run, cells)`` per row.
+
+    Blank lines and lines starting with ``#`` are skipped. The header must
+    start with ``run`` and name each column once; each row must be as wide
+    as the header and start with an integer run number. ``line`` is the
+    row's 1-based line number in the file and ``cells`` are the row's cells
+    after the run number.
+    """
+    lines = text.splitlines() if isinstance(text, str) else text
+    # A skipped line is read as an empty row, so the reader's line count stays the file's.
+    reader = csv.reader(
+        line if line.strip() and not line.lstrip().startswith("#") else "" for line in lines
+    )
+    try:
+        for row in reader:
+            if row:
+                header = [h.strip() for h in row]
+                break
+        else:
+            raise ResultsFormatError(f"{what} is empty")
+        if header[0] != "run":
+            raise ResultsFormatError(f"{what} must start with a 'run' column")
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ResultsFormatError(f"{what} repeats column(s): {', '.join(repeated)}")
+        yield header
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ResultsFormatError(
+                    f"row {reader.line_num}: expected {len(header)} cells, got {len(row)}"
+                )
+            try:
+                number = int(row[0])
+            except ValueError:
+                raise ResultsFormatError(
+                    f"row {reader.line_num}, column 'run': not an integer: {row[0]!r}"
+                ) from None
+            yield reader.line_num, number, row[1:]
+    except csv.Error as exc:
+        raise ResultsFormatError(f"row {reader.line_num}: {exc}") from None
+
+
 def _strip_unit(label: str) -> str:
-    label = label.strip()
     if label.endswith(")") and "(" in label:
-        return label[: label.rindex("(")]
+        return label[: label.rindex("(")].rstrip()
     return label

@@ -79,10 +79,6 @@ class TableEvaluator:
             factor_names=design.factor_names, response_names=response_names, rows=tuple(rows)
         )
 
-    @property
-    def responses(self) -> tuple[str, ...]:
-        return self.response_names
-
     def covers(self, settings: Mapping[str, float]) -> bool:
         return _settings_key(settings, self.factor_names) in self._index
 
@@ -193,7 +189,7 @@ class SurrogateEvaluator:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SurrogateEvaluator":

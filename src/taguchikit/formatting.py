@@ -10,9 +10,13 @@ because published Taguchi tables commonly chop digits rather than round:
 
 from __future__ import annotations
 
-from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
+from decimal import ROUND_DOWN, ROUND_HALF_UP, Context, Decimal
 
 __all__ = ["number_label", "fixed", "fixed_value"]
+
+# Enough digits for any double (at most 309 integer digits) at up to 15
+# decimals; the default 28-digit context fails on values from 1e24 up.
+_CONTEXT = Context(prec=330)
 
 
 def number_label(x: float) -> str:
@@ -22,7 +26,7 @@ def number_label(x: float) -> str:
     everything else uses ``repr`` which round-trips exactly. This is what
     keeps exported run sheets byte-identical to their declared levels.
     """
-    if x == int(x):
+    if float(x).is_integer():
         return str(int(x))
     return repr(x)
 
@@ -31,7 +35,7 @@ def fixed(x: float, decimals: int, *, truncate: bool = False) -> str:
     """Format ``x`` with exactly ``decimals`` fractional digits."""
     mode = ROUND_DOWN if truncate else ROUND_HALF_UP
     quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(x)).quantize(quantum, rounding=mode))
+    return str(Decimal(repr(x)).quantize(quantum, rounding=mode, context=_CONTEXT))
 
 
 def fixed_value(x: float, decimals: int, *, truncate: bool = False) -> float:

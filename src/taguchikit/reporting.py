@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from taguchikit.analysis import AnalysisReport, Prediction, ResponseAnalysis
+from taguchikit.errors import ConfigError
 from taguchikit.formatting import fixed, number_label
 
 __all__ = [
@@ -32,13 +34,6 @@ SCHEMA_VERSION = 1
 
 # Display decimals per quantity; callers may override via the precision arg.
 REPORT_PRECISION = {"snr": 2, "mean": 4, "prediction": 4, "error_percent": 2}
-
-
-def _precision(overrides: dict[str, int] | None) -> dict[str, int]:
-    merged = dict(REPORT_PRECISION)
-    if overrides:
-        merged.update(overrides)
-    return merged
 
 
 def report_to_json_dict(report: AnalysisReport) -> dict:
@@ -94,11 +89,12 @@ def _response_to_json(report: AnalysisReport, analysis: ResponseAnalysis) -> dic
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_json_dict(report), indent=2, ensure_ascii=False) + "\n"
+    body = report_to_json_dict(report)
+    return json.dumps(body, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def report_to_text(report: AnalysisReport, precision: dict[str, int] | None = None) -> str:
-    prec = _precision(precision)
+    prec = {**REPORT_PRECISION, **(precision or {})}
     design = report.design
     out = io.StringIO()
     out.write(
@@ -197,26 +193,39 @@ def prediction_to_json_dict(prediction: Prediction) -> dict:
 
 
 def prediction_to_json(prediction: Prediction) -> str:
-    return json.dumps(prediction_to_json_dict(prediction), indent=2, ensure_ascii=False) + "\n"
+    body = prediction_to_json_dict(prediction)
+    return json.dumps(body, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def prediction_from_json_dict(data: dict) -> Prediction:
+    """Read back a prediction document; raises :class:`ConfigError` if it is not one.
+
+    The settings must be a mapping with one entry per level label, and
+    they and the predicted value must be finite numbers.
+    """
     try:
-        return Prediction(
+        levels, settings = data["levels"], data["settings"]
+        shaped = isinstance(levels, list) and isinstance(settings, dict)
+        if not shaped or len(levels) != len(settings):
+            raise ValueError("'levels' must list one label per entry of the 'settings' mapping")
+        prediction = Prediction(
             response=data["response"],
             unit=data.get("unit", ""),
-            level_indices=tuple(int(l) - 1 for l in data["levels"]),
-            settings={k: float(v) for k, v in data["settings"].items()},
+            level_indices=tuple(int(l) - 1 for l in levels),
+            settings={k: float(v) for k, v in settings.items()},
             predicted=float(data["predicted"]),
             confirmation=data.get("confirmation"),
             error_percent=data.get("error_percent"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"not a prediction document: {exc}") from None
+        if not all(map(math.isfinite, [*prediction.settings.values(), prediction.predicted])):
+            raise ValueError("settings and 'predicted' must be finite")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"not a prediction document: {exc}") from None
+    return prediction
 
 
 def prediction_to_text(prediction: Prediction, precision: dict[str, int] | None = None) -> str:
-    prec = _precision(precision)
+    prec = {**REPORT_PRECISION, **(precision or {})}
     out = io.StringIO()
     unit = f" {prediction.unit}" if prediction.unit else ""
     out.write(f"Prediction for {prediction.response}:\n")

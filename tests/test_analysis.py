@@ -26,6 +26,7 @@ from taguchikit.analysis import (
 from taguchikit.arrays import OrthogonalArray, get_array
 from taguchikit.design import Factor, bind
 from taguchikit.errors import (
+    ConfigError,
     ConfirmationError,
     IncompleteResultsError,
     InvalidLevelError,
@@ -382,6 +383,17 @@ class TestResultsCsv:
         with pytest.raises(ResultsFormatError, match="empty"):
             read_results_csv("")
 
+    def test_repeated_column_is_rejected(self):
+        with pytest.raises(ResultsFormatError, match=r"repeats column\(s\): y$"):
+            read_results_csv("run,y,z,y\n1,1.0,2.0,100.0\n")
+
+    def test_rows_are_numbered_by_file_line(self):
+        text = "run,cycle_time,shrinkage\n# note\n\n1,49.4,2.2\n2,oops,2.1\n"
+        with pytest.raises(ResultsFormatError, match=r"^row 5, column 'cycle_time'"):
+            read_results_csv(text)
+        with pytest.raises(ResultsFormatError, match=r"^row 3: expected 2 cells, got 3$"):
+            read_results_csv("run,y\n\n1,2.0,3.0\n")
+
 
 class TestSpecs:
     def test_nominal_needs_finite_target(self):
@@ -396,3 +408,44 @@ class TestSpecs:
         assert Objective.from_string("smaller-the-better") is Objective.SMALLER_IS_BETTER
         with pytest.raises(ValueError, match="unknown objective"):
             Objective.from_string("smallest")
+
+    def test_spec_errors_are_config_errors(self):
+        with pytest.raises(ConfigError, match="unknown objective"):
+            Objective.from_string("smallest")
+        with pytest.raises(ConfigError, match="non-empty"):
+            ResponseSpec("", "", Objective.SMALLER_IS_BETTER)
+        with pytest.raises(ConfigError, match="target"):
+            ResponseSpec("y", "", Objective.NOMINAL_IS_BEST, target=math.inf)
+
+
+class TestFloatingPointRange:
+    """Finite inputs whose statistics leave the double range fail with the run and response named."""
+
+    def test_snr_out_of_range_is_singular(self):
+        with pytest.raises(SingularityError, match="out of the floating-point range"):
+            snr([1e200])
+        with pytest.raises(SingularityError, match="out of the floating-point range"):
+            snr([1e200], Objective.LARGER_IS_BETTER)
+        with pytest.raises(SingularityError, match="out of the floating-point range"):
+            snr([1e-200], Objective.LARGER_IS_BETTER)
+        with pytest.raises(SingularityError, match="out of the floating-point range"):
+            snr([1e200], Objective.NOMINAL_IS_BEST, target=-1e200)
+
+    @pytest.mark.parametrize(
+        "values, objective",
+        [
+            ((1e200,), Objective.SMALLER_IS_BETTER),
+            ((1e200,), Objective.LARGER_IS_BETTER),
+            ((1e308, 1e308), Objective.SMALLER_IS_BETTER),
+            ((1.7e308, 1.0), Objective.LARGER_IS_BETTER),
+        ],
+    )
+    def test_analyze_names_run_and_response(self, values, objective):
+        design = bind(get_array("L4"), tuple(Factor(f"f{j}", "", (0, 1)) for j in range(3)))
+        results = [RunResult(n, {"y": (1.0,)}) for n in (1, 2, 4)] + [RunResult(3, {"y": values})]
+        with pytest.raises(SingularityError, match=r"^run 3: response 'y': "):
+            analyze(design, results, [ResponseSpec("y", "", objective)])
+
+    def test_error_percent_out_of_range(self):
+        with pytest.raises(ConfirmationError, match="floating-point range"):
+            error_percent(1.0, 5e-324)

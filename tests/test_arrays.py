@@ -104,6 +104,8 @@ class TestVerify:
     def test_ragged_matrix_is_structural_error(self):
         with pytest.raises(ArrayStructureError, match="ragged"):
             verify_orthogonality([[0, 1], [0]], [2, 2])
+        with pytest.raises(ArrayStructureError, match="ragged"):
+            verify_orthogonality([[0, 1], [0]])
 
     def test_out_of_range_cell_is_structural_error(self):
         with pytest.raises(ArrayStructureError, match="out of range"):

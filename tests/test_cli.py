@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from taguchikit.cli import load_config, main
 from taguchikit.errors import ConfigError
+
+REPO = Path(__file__).resolve().parents[1]
 
 AUTO_CONFIG = """\
 array: auto
@@ -20,6 +30,15 @@ factors:
 responses:
   - {name: y, unit: "", objective: smaller-the-better}
 """
+
+
+def single_error(capsys) -> str:
+    """The one ``error:`` line a failed command printed; nothing may go to stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
 
 
 @pytest.fixture
@@ -300,3 +319,192 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="wavelength"):
             load_config(bad)
+
+    @pytest.mark.parametrize("decimals", [-2, 16, 100000])
+    def test_precision_out_of_range_rejected(self, fixtures_dir, tmp_path, capsys, decimals):
+        config_text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")
+        config = tmp_path / "precise.yaml"
+        config.write_text(config_text + f"precision:\n  mean: {decimals}\n", encoding="utf-8")
+        results = str(fixtures_dir / "clip_moulding_results.csv")
+        assert main(["analyze", str(config), results]) == 2
+        assert single_error(capsys).endswith(
+            f"precision.mean: expected 0 to 15 decimals, got {decimals}"
+        )
+
+    def test_level_beyond_float_range_reports_field_path(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "array: L4\nfactors:\n  - {name: a, levels: [1, 1" + "0" * 400 + "]}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match=r"factors\[0\]: int too large"):
+            load_config(bad)
+
+
+class TestTotality:
+    """Every failure is exit 2 with one ``error:`` line, no traceback and no --out file."""
+
+    @pytest.mark.parametrize("which", ["config", "results", "prediction"])
+    def test_non_utf8_input(self, fixture_paths, tmp_path, capsys, which):
+        config, results = fixture_paths
+        bad = tmp_path / "latin"
+        bad.write_bytes(b"\xff\xfe\x00r\x00u\x00n")
+        argv = {
+            "config": ["analyze", str(bad), results],
+            "results": ["analyze", config, str(bad)],
+            "prediction": ["validate", str(bad), "--confirmed", "1"],
+        }[which]
+        target = tmp_path / "out"
+        assert main(argv + ["--out", str(target)]) == 2
+        assert single_error(capsys).startswith(f"error: cannot read {which} {bad}: ")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_levels_override(self, fixture_paths, capsys, value):
+        config, results = fixture_paths
+        argv = ["predict", config, results, "--response", "cycle_time"]
+        assert main(argv + ["--levels", f"{value},215,47,3.5"]) == 2
+        assert single_error(capsys) == (
+            f"error: {value} is not a level of 'mould_temperature' (levels: 75, 80, 85)"
+        )
+
+    def test_comment_lines_do_not_shift_row_numbers(self, fixture_paths, tmp_path, capsys):
+        config, _ = fixture_paths
+        broken = tmp_path / "commented.csv"
+        broken.write_text(
+            "run,cycle_time,shrinkage\n# note\n\n1,49.4,2.2\n2,oops,2.1\n", encoding="utf-8"
+        )
+        assert main(["analyze", config, str(broken)]) == 2
+        assert single_error(capsys) == "error: row 5, column 'cycle_time': not a number: 'oops'"
+
+    @pytest.mark.parametrize(
+        "objective, rows",
+        [
+            ("smaller-the-better", ["1,1e200,2.2"]),
+            ("larger-the-better", ["1,1e200,2.2"]),
+            ("smaller-the-better", ["1,1e308,2.2", "1,1e308,2.2"]),
+        ],
+    )
+    def test_overflowing_statistics(self, fixture_paths, tmp_path, capsys, objective, rows):
+        config, results = fixture_paths
+        custom = tmp_path / "config.yaml"
+        custom.write_text(
+            Path(config).read_text(encoding="utf-8").replace(
+                "objective: smaller-the-better", f"objective: {objective}", 1
+            ),
+            encoding="utf-8",
+        )
+        lines = Path(results).read_text(encoding="utf-8").splitlines()
+        table = tmp_path / "results.csv"
+        table.write_text("\n".join([lines[0], *rows, *lines[2:]]) + "\n", encoding="utf-8")
+        target = tmp_path / "report.json"
+        code = main(["analyze", str(custom), str(table), "--format", "json", "--out", str(target)])
+        assert code == 2
+        assert single_error(capsys).startswith("error: run 1: response 'cycle_time': ")
+        assert not target.exists()
+
+    def test_huge_finite_values_render_as_text(self, fixture_paths, tmp_path, capsys):
+        config, results = fixture_paths
+        table = tmp_path / "results.csv"
+        table.write_text(
+            Path(results).read_text(encoding="utf-8").replace("49.4161", "1e24"), encoding="utf-8"
+        )
+        assert main(["analyze", config, str(table)]) == 0
+        assert re.search(r"grand mean: 1\d{23}\.\d{4}\n", capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"settings": [1]},
+            {"predicted": "1e999"},
+            {"predicted": float("nan")},
+            {"predicted": 10**400},
+            {"levels": [3, 1, 2]},
+            {"levels": [1e999, 1, 2, 1]},
+        ],
+    )
+    def test_malformed_prediction_document(self, fixture_paths, tmp_path, capsys, edit):
+        config, results = fixture_paths
+        document = tmp_path / "prediction.json"
+        predict = ["predict", config, results, "--response", "cycle_time"]
+        assert main(predict + ["--out", str(document)]) == 0
+        data = {**json.loads(document.read_text(encoding="utf-8")), **edit}
+        document.write_text(json.dumps(data), encoding="utf-8")
+        target = tmp_path / "validated.json"
+        validate = ["validate", str(document), "--confirmed", "22.92", "--format", "json"]
+        assert main(validate + ["--out", str(target)]) == 2
+        assert "not a prediction document" in single_error(capsys)
+        assert not target.exists()
+
+    def test_error_percent_beyond_float_range(self, fixture_paths, tmp_path, capsys):
+        config, results = fixture_paths
+        document = tmp_path / "prediction.json"
+        predict = ["predict", config, results, "--response", "cycle_time"]
+        assert main(predict + ["--out", str(document)]) == 0
+        assert main(["validate", str(document), "--confirmed", "5e-324"]) == 2
+        assert "floating-point range" in single_error(capsys)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e200", "1e308", "-1e308", "1e-320", "0", "nan", "-inf", "", "x", '"1"']),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _results_bytes(draw):
+    """Results-CSV bytes: the fixture table with cells, rows and lines edited, or raw bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=200))
+    fixture = REPO / "fixtures" / "clip_moulding_results.csv"
+    rows = [line.split(",") for line in fixture.read_text(encoding="utf-8").splitlines()]
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.integers(0, len(rows) - 1))
+        column = draw(st.integers(0, 2))
+        rows[row][column] = draw(_CELLS)
+    text = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.integers(0, len(text)))
+        text.insert(where, draw(st.sampled_from(["", "# note", "1,49.4161,2.2", "10,1,1", "run"])))
+    encoding = draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16"]))
+    return "\n".join(text).encode(encoding)
+
+
+class TestTotalityProperty:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=_results_bytes())
+    def test_analyze_is_total(self, data):
+        config = str(REPO / "fixtures" / "clip_moulding.yaml")
+        with tempfile.TemporaryDirectory() as scratch:
+            results = Path(scratch) / "results.csv"
+            results.write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["analyze", config, str(results), "--format", "json"])
+        if code == 0:
+            assert err.getvalue() == ""
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert code == 2 and out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+
+def test_case_study_script_runs(tmp_path):
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    completed = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_case_study.py")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "21.2575" in completed.stdout and "7.25" in completed.stdout

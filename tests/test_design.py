@@ -136,3 +136,10 @@ class TestRunSheetCsv:
     def test_rejects_non_numeric_cell(self):
         with pytest.raises(ResultsFormatError, match="row 2"):
             read_run_sheet("run,a\n1,oops\n")
+
+    def test_unit_after_a_space_is_stripped(self):
+        assert read_run_sheet("run,a (x)\n1,2\n")[0].settings == {"a": 2.0}
+
+    def test_rows_are_numbered_by_file_line(self):
+        with pytest.raises(ResultsFormatError, match="row 4: "):
+            read_run_sheet("run,a\n# note\n\n1,oops\n")
