@@ -178,11 +178,16 @@ def read_results_csv(
         bucket = replicates.setdefault(number, {name: [] for name in responses})
         for name, cell in zip(responses, cells):
             try:
-                bucket[name].append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ResultsFormatError(
                     f"row {lineno}, column {name!r}: not a number: {cell!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ResultsFormatError(
+                    f"row {lineno}, column {name!r}: not a finite number: {cell!r}"
+                )
+            bucket[name].append(value)
     return tuple(
         RunResult(number, {name: tuple(ys) for name, ys in replicates[number].items()})
         for number in sorted(replicates)
@@ -252,15 +257,15 @@ def _level_matrix(design: Design, per_run: Sequence[float]) -> tuple[tuple[float
     """Mean of a per-run statistic at every (factor, level) cell."""
     matrix = []
     for j, factor in enumerate(design.factors):
-        row = []
-        for level in range(len(factor.levels)):
-            positions = design.runs_at(j, level)
-            if not positions:
+        buckets: list[list[float]] = [[] for _ in factor.levels]
+        for row, value in zip(design.array.cells, per_run):
+            buckets[row[j]].append(value)
+        for level, bucket in enumerate(buckets):
+            if not bucket:
                 raise IncompleteResultsError(
                     f"level {level + 1} of factor {factor.name!r} is never exercised"
                 )
-            row.append(fmean(per_run[i] for i in positions))
-        matrix.append(tuple(row))
+        matrix.append(tuple(fmean(bucket) for bucket in buckets))
     return tuple(matrix)
 
 

@@ -58,7 +58,7 @@ def load_config(path: str | Path) -> ProjectConfig:
     text = _read_input(path, "config")
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
@@ -249,7 +249,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     text = _read_input(args.prediction, "prediction")
     try:
         prediction = reporting.prediction_from_json_dict(json.loads(text))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{args.prediction}: {exc}") from None
     confirmed = validate(prediction, args.confirmed)
     if args.format == "json":

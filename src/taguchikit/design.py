@@ -76,12 +76,6 @@ class Design:
     def factor_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.factors)
 
-    def runs_at(self, factor_index: int, level_index: int) -> tuple[int, ...]:
-        """0-based row positions where the given factor sits at the given level."""
-        return tuple(
-            i for i, row in enumerate(self.array.cells) if row[factor_index] == level_index
-        )
-
 
 def bind(array: OrthogonalArray, factors: Sequence[Factor]) -> Design:
     """Bind one factor per array column, in order.

@@ -10,10 +10,7 @@ to share across threads.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean
 from typing import Mapping, Sequence
 
@@ -23,7 +20,6 @@ from taguchikit.design import Design
 from taguchikit.errors import (
     CombinationNotCoveredError,
     InvalidLevelError,
-    ResultsFormatError,
     UnbalancedDesignError,
     UnknownResponseError,
 )
@@ -56,31 +52,20 @@ class TableEvaluator:
 
     factor_names: tuple[str, ...]
     response_names: tuple[str, ...]
-    rows: tuple[tuple[int, tuple[float, ...], dict[str, tuple[float, ...]]], ...]
-    _index: dict[tuple[float, ...], dict[str, tuple[float, ...]]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {key: values for _, key, values in self.rows})
+    _index: dict[tuple[float, ...], dict[str, tuple[float, ...]]]
 
     @classmethod
     def from_results(cls, design: Design, results: Sequence[RunResult]) -> "TableEvaluator":
-        """One row per run, its replicates grouped across however many results carried them."""
+        """One entry per run, its replicates grouped across however many results carried them."""
         response_names = tuple(dict.fromkeys(name for result in results for name in result.values))
         by_number = {run.number: run for run in design.runs}
-        rows = []
+        index = {}
         for number, values in sorted(group_replicates(results).items()):
             if number not in by_number:
                 raise CombinationNotCoveredError(f"run {number} is not part of the design")
             key = _settings_key(by_number[number].settings, design.factor_names)
-            rows.append((number, key, {name: tuple(ys) for name, ys in values.items()}))
-        return cls(
-            factor_names=design.factor_names, response_names=response_names, rows=tuple(rows)
-        )
-
-    def covers(self, settings: Mapping[str, float]) -> bool:
-        return _settings_key(settings, self.factor_names) in self._index
+            index[key] = {name: tuple(ys) for name, ys in values.items()}
+        return cls(factor_names=design.factor_names, response_names=response_names, _index=index)
 
     def evaluate(self, settings: Mapping[str, float], response: str | None = None) -> float:
         if response is None:
@@ -110,25 +95,6 @@ class TableEvaluator:
 
         return sorted(self._index, key=distance)[:count]
 
-    def to_results_csv(self) -> str:
-        """Re-emit the recorded table in the results CSV format, values verbatim."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["run"] + list(self.response_names))
-        for number, _, values in self.rows:
-            depths = {len(values.get(name, ())) for name in self.response_names}
-            if len(depths) != 1:
-                raise ResultsFormatError(
-                    f"run {number}: responses have unequal replicate counts, "
-                    "which the results CSV format cannot represent"
-                )
-            for i in range(depths.pop()):
-                writer.writerow(
-                    [number]
-                    + [number_label(values[name][i]) for name in self.response_names]
-                )
-        return buf.getvalue()
-
 
 @dataclass(frozen=True)
 class SurrogateEvaluator:
@@ -141,21 +107,9 @@ class SurrogateEvaluator:
     """
 
     response: str
-    unit: str
     grand_mean: float
     factor_names: tuple[str, ...]
     offsets: tuple[dict[float, float], ...]
-
-    @property
-    def responses(self) -> tuple[str, ...]:
-        return (self.response,)
-
-    def covers(self, settings: Mapping[str, float]) -> bool:
-        try:
-            key = _settings_key(settings, self.factor_names)
-        except InvalidLevelError:
-            return False
-        return all(value in table for value, table in zip(key, self.offsets))
 
     def evaluate(self, settings: Mapping[str, float], response: str | None = None) -> float:
         if response is not None and response != self.response:
@@ -163,51 +117,15 @@ class SurrogateEvaluator:
                 f"surrogate answers {self.response!r}, not {response!r}"
             )
         key = _settings_key(settings, self.factor_names)
-        total = self.grand_mean
+        offsets = []
         for name, value, table in zip(self.factor_names, key, self.offsets):
             if value not in table:
                 choices = ", ".join(number_label(v) for v in table)
                 raise InvalidLevelError(
                     f"{number_label(value)} is not a fitted level of {name!r} (levels: {choices})"
                 )
-            total += table[value]
-        return total
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "response": self.response,
-            "unit": self.unit,
-            "grand_mean": self.grand_mean,
-            "factors": [
-                {
-                    "name": name,
-                    "offsets": {number_label(value): offset for value, offset in table.items()},
-                }
-                for name, table in zip(self.factor_names, self.offsets)
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SurrogateEvaluator":
-        factors = data["factors"]
-        return cls(
-            response=data["response"],
-            unit=data.get("unit", ""),
-            grand_mean=float(data["grand_mean"]),
-            factor_names=tuple(f["name"] for f in factors),
-            offsets=tuple(
-                {float(value): float(offset) for value, offset in f["offsets"].items()}
-                for f in factors
-            ),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SurrogateEvaluator":
-        return cls.from_json_dict(json.loads(text))
+            offsets.append(table[value])
+        return self.grand_mean + sum(offsets)
 
 
 def fit_surrogate(report: AnalysisReport, response: str | None = None) -> SurrogateEvaluator:
@@ -234,7 +152,6 @@ def fit_surrogate(report: AnalysisReport, response: str | None = None) -> Surrog
     )
     return SurrogateEvaluator(
         response=analysis.spec.name,
-        unit=analysis.spec.unit,
         grand_mean=analysis.grand_mean,
         factor_names=report.design.factor_names,
         offsets=offsets,

@@ -153,7 +153,7 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: run 1: response 'cycle_time' has a non-finite value: {float(cell)!r}\n"
+            f"error: row 2, column 'cycle_time': not a finite number: {cell!r}\n"
         )
 
     def test_byte_order_mark_is_ignored(self, fixture_paths, fixtures_dir, tmp_path, capsys):
@@ -436,6 +436,18 @@ class TestTotality:
         assert "not a prediction document" in single_error(capsys)
         assert not target.exists()
 
+    def test_deeply_nested_prediction(self, tmp_path, capsys):
+        document = tmp_path / "prediction.json"
+        document.write_text("[" * 100000, encoding="utf-8")
+        assert main(["validate", str(document), "--confirmed", "22.92"]) == 2
+        assert single_error(capsys).startswith(f"error: {document}: maximum recursion depth")
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("a: " + "[" * 5000, encoding="utf-8")
+        assert main(["design", str(config)]) == 2
+        assert single_error(capsys).startswith(f"error: {config}: maximum recursion depth")
+
     def test_error_percent_beyond_float_range(self, fixture_paths, tmp_path, capsys):
         config, results = fixture_paths
         document = tmp_path / "prediction.json"
@@ -493,6 +505,27 @@ class TestTotalityProperty:
             assert code == 2 and out.getvalue() == ""
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+
+class TestLayoutInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_row_and_column_order_leave_the_report_unchanged(self, data):
+        config = str(REPO / "fixtures" / "clip_moulding.yaml")
+        fixture = REPO / "fixtures" / "clip_moulding_results.csv"
+        header, *rows = [line.split(",") for line in fixture.read_text(encoding="utf-8").splitlines()]
+        columns = [0, *data.draw(st.permutations(range(1, len(header))))]
+        table = [header, *data.draw(st.permutations(rows))]
+        with tempfile.TemporaryDirectory() as scratch:
+            results = Path(scratch) / "results.csv"
+            results.write_text(
+                "".join(",".join(row[c] for c in columns) + "\n" for row in table), encoding="utf-8"
+            )
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["analyze", config, str(results), "--format", "json"]) == 0
+        expected = (REPO / "fixtures" / "expected_report.json").read_text(encoding="utf-8")
+        assert out.getvalue() == expected
 
 
 def test_case_study_script_runs(tmp_path):

@@ -6,6 +6,7 @@ from itertools import product
 from statistics import fmean
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taguchikit.analysis import Objective, ResponseSpec, RunResult, analyze, predict_optimum
 from taguchikit.arrays import OrthogonalArray
@@ -13,11 +14,10 @@ from taguchikit.design import Factor, bind
 from taguchikit.errors import (
     CombinationNotCoveredError,
     InvalidLevelError,
-    ResultsFormatError,
     UnbalancedDesignError,
     UnknownResponseError,
 )
-from taguchikit.evaluators import SurrogateEvaluator, TableEvaluator, fit_surrogate
+from taguchikit.evaluators import TableEvaluator, fit_surrogate
 
 CYCLE = (49.4161, 51.0519, 54.4495, 29.3798, 30.4038, 32.3585, 22.925, 23.4541, 24.4298)
 
@@ -36,17 +36,6 @@ class TestTableEvaluator:
             "holding_time": 3.5,
         }
         assert table.evaluate(settings, "cycle_time") == 30.4038
-
-    def test_covers_only_recorded_combinations(self, table, clip_design):
-        assert table.covers(clip_design.runs[0].settings)
-        assert not table.covers(
-            {
-                "mould_temperature": 85,
-                "melt_temperature": 215,
-                "injection_pressure": 53,
-                "holding_time": 3.5,
-            }
-        )
 
     def test_miss_lists_nearest_recorded(self, table):
         probe = {
@@ -84,38 +73,12 @@ class TestTableEvaluator:
                 "cycle_time",
             )
 
-    def test_reemitted_csv_is_byte_identical(self, table, fixtures_dir):
-        original = (fixtures_dir / "clip_moulding_results.csv").read_text(encoding="utf-8")
-        assert table.to_results_csv() == original
-
     def test_replicates_average_on_evaluate(self):
         array = OrthogonalArray("pair", (2,), ((0,), (1,)))
         design = bind(array, (Factor("x", "", (1.0, 2.0)),))
         results = [RunResult(1, {"y": (10.0, 14.0)}), RunResult(2, {"y": (20.0,)})]
         evaluator = TableEvaluator.from_results(design, results)
         assert evaluator.evaluate({"x": 1.0}, "y") == 12.0
-
-    def test_run_split_across_results_reemits_one_row_per_run(
-        self, clip_design, clip_results, fixtures_dir
-    ):
-        split = [
-            RunResult(r.run_number, {name: ys})
-            for r in clip_results
-            for name, ys in r.values.items()
-        ]
-        original = (fixtures_dir / "clip_moulding_results.csv").read_text(encoding="utf-8")
-        assert TableEvaluator.from_results(clip_design, split).to_results_csv() == original
-
-    def test_unequal_replicate_counts_cannot_be_reemitted(self):
-        array = OrthogonalArray("pair", (2,), ((0,), (1,)))
-        design = bind(array, (Factor("x", "", (1.0, 2.0)),))
-        results = [
-            RunResult(1, {"a": (1.0,), "b": (2.0,)}),
-            RunResult(2, {"a": (3.0, 4.0), "b": (5.0,)}),
-        ]
-        table = TableEvaluator.from_results(design, results)
-        with pytest.raises(ResultsFormatError, match="run 2"):
-            table.to_results_csv()
 
 
 class TestSurrogate:
@@ -185,19 +148,19 @@ class TestSurrogate:
 
     def test_answers_only_its_own_response(self, clip_report):
         surrogate = fit_surrogate(clip_report, "cycle_time")
-        assert surrogate.responses == ("cycle_time",)
         with pytest.raises(UnknownResponseError, match="shrinkage"):
             surrogate.evaluate(clip_report.design.runs[0].settings, "shrinkage")
 
-    def test_json_round_trip_evaluates_identically(self, clip_report):
-        surrogate = fit_surrogate(clip_report, "shrinkage")
-        clone = SurrogateEvaluator.from_json(surrogate.to_json())
-        factors = clip_report.design.factors
-        for combo in product(range(3), repeat=4):
-            settings = {f.name: f.levels[l] for f, l in zip(factors, combo)}
-            assert clone.evaluate(settings) == surrogate.evaluate(settings)
 
-    def test_covers_reports_fitted_grid(self, clip_report):
-        surrogate = fit_surrogate(clip_report, "cycle_time")
-        assert surrogate.covers(clip_report.design.runs[0].settings)
-        assert not surrogate.covers({"mould_temperature": 82})
+class TestSurrogateAgreesWithPrediction:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(values=st.lists(st.floats(1e-3, 1e3), min_size=9, max_size=9))
+    def test_evaluate_equals_predict_optimum_exactly(self, clip_design, values):
+        """The same additive sum, in the same order, so equal to the last bit."""
+        results = [RunResult(n, {"y": (y,)}) for n, y in enumerate(values, start=1)]
+        report = analyze(clip_design, results, (ResponseSpec("y", "", Objective.SMALLER_IS_BETTER),))
+        surrogate = fit_surrogate(report, "y")
+        factors = clip_design.factors
+        for combo in product(range(3), repeat=4):
+            point = {f.name: f.levels[l] for f, l in zip(factors, combo)}
+            assert surrogate.evaluate(point) == predict_optimum(report, "y", combo).predicted
