@@ -173,24 +173,14 @@ def read_results_csv(
             raise ResultsFormatError(
                 f"results table lacks response column(s): {', '.join(missing)}"
             )
-    replicates: dict[int, dict[str, list[float]]] = {}
-    for lineno, number, cells in table:
-        bucket = replicates.setdefault(number, {name: [] for name in responses})
-        for name, cell in zip(responses, cells):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ResultsFormatError(
-                    f"row {lineno}, column {name!r}: not a number: {cell!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ResultsFormatError(
-                    f"row {lineno}, column {name!r}: not a finite number: {cell!r}"
-                )
-            bucket[name].append(value)
+    # Each run's rows laid end to end; response i is every len(responses)-th value from i.
+    flat: dict[int, list[float]] = {}
+    for number, values in table:
+        flat.setdefault(number, []).extend(values)
+    width = len(responses)
     return tuple(
-        RunResult(number, {name: tuple(ys) for name, ys in replicates[number].items()})
-        for number in sorted(replicates)
+        RunResult(number, {name: tuple(flat[number][i::width]) for i, name in enumerate(responses)})
+        for number in sorted(flat)
     )
 
 
@@ -345,26 +335,27 @@ class ResponseAnalysis:
     ties: tuple[int, ...]
 
 
+def _response_index(names: Sequence[str], name: str | None, owner: str) -> int:
+    """Position of the response the caller meant: ``name``, or the only one ``owner`` has."""
+    if name is None:
+        if len(names) == 1:
+            return 0
+        raise UnknownResponseError(
+            f"{owner} has several responses; name one of: " + ", ".join(names)
+        )
+    if name not in names:
+        raise UnknownResponseError(f"no response named {name!r}; available: " + ", ".join(names))
+    return names.index(name)
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     design: Design
     responses: tuple[ResponseAnalysis, ...]
 
     def response(self, name: str | None = None) -> ResponseAnalysis:
-        if name is None:
-            if len(self.responses) == 1:
-                return self.responses[0]
-            raise UnknownResponseError(
-                "report has several responses; name one of: "
-                + ", ".join(r.spec.name for r in self.responses)
-            )
-        for analysis in self.responses:
-            if analysis.spec.name == name:
-                return analysis
-        raise UnknownResponseError(
-            f"no response named {name!r}; available: "
-            + ", ".join(r.spec.name for r in self.responses)
-        )
+        names = tuple(r.spec.name for r in self.responses)
+        return self.responses[_response_index(names, name, "report")]
 
     def optimal_settings(self, name: str | None = None) -> dict[str, float]:
         analysis = self.response(name)
@@ -424,7 +415,7 @@ def predict_optimum(
     response: str | None = None,
     levels: Sequence[int] | None = None,
 ) -> Prediction:
-    """Additive optimum prediction: grand mean plus per-factor level-mean offsets.
+    """Additive optimum prediction: grand mean plus each factor's level mean minus the grand mean.
 
     With level means ``m[f][l]`` and grand mean ``g`` the estimate at a
     combination ``L`` is ``g + sum_f (m[f][L_f] - g)``. By default ``L``

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Sequence
 
 from taguchikit.errors import ArrayStructureError, CapacityError, UnknownArrayError
 
@@ -73,9 +72,6 @@ class OrthogonalArray:
     def columns(self) -> int:
         return len(self.levels_per_column)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.cells)
-
 
 @dataclass(frozen=True)
 class BalanceViolation:
@@ -99,20 +95,15 @@ class PairCountViolation:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    balanced: bool
-    orthogonal: bool
     balance_violations: tuple[BalanceViolation, ...]
     pair_violations: tuple[PairCountViolation, ...]
 
     @property
     def passed(self) -> bool:
-        return self.balanced and self.orthogonal
+        return not self.balance_violations and not self.pair_violations
 
 
-def verify_orthogonality(
-    array: OrthogonalArray | Sequence[Sequence[int]],
-    levels_per_column: Sequence[int] | None = None,
-) -> VerificationReport:
+def verify_orthogonality(array: OrthogonalArray) -> VerificationReport:
     """Check column balance and strength-2 orthogonality.
 
     Balance: in column j every level index appears exactly
@@ -120,18 +111,10 @@ def verify_orthogonality(
     every ordered pair of levels appears exactly
     ``runs / (levels_j * levels_k)`` times (vacuous for a single column).
 
-    Accepts either an :class:`OrthogonalArray` or a raw row matrix; for
-    raw input the per-column level counts may be passed explicitly or are
-    inferred as ``max + 1``. Raises :class:`ArrayStructureError` for a
-    ragged matrix or out-of-range cells, which is a different failure
-    mode than returning a report with violations.
+    A ragged matrix or an out-of-range cell is already rejected by the
+    :class:`OrthogonalArray` constructor, so every array reaching this
+    check can be counted.
     """
-    if not isinstance(array, OrthogonalArray):
-        rows = tuple(tuple(row) for row in array)
-        if levels_per_column is None and rows:
-            columns = range(len(rows[0]))
-            levels_per_column = [max(max(r[j] for r in rows if j < len(r)) + 1, 2) for j in columns]
-        array = OrthogonalArray("matrix", levels_per_column or (), rows)
     cells = array.cells
     levels = array.levels_per_column
 
@@ -158,12 +141,7 @@ def verify_orthogonality(
             if observed != expected:
                 pairs.append(PairCountViolation((j, k), (a, b), observed, expected))
 
-    return VerificationReport(
-        balanced=not balance,
-        orthogonal=not pairs,
-        balance_violations=tuple(balance),
-        pair_violations=tuple(pairs),
-    )
+    return VerificationReport(balance_violations=tuple(balance), pair_violations=tuple(pairs))
 
 
 # --------------------------------------------------------------------------

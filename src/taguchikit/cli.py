@@ -31,6 +31,7 @@ from taguchikit.analysis import (
 from taguchikit.arrays import get_array, select_array
 from taguchikit.design import Design, Factor, bind, export_run_sheet
 from taguchikit.errors import ConfigError, TaguchiKitError
+from taguchikit.reporting import _is_number
 
 __all__ = ["ProjectConfig", "load_config", "build_design", "main", "run"]
 
@@ -69,11 +70,17 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
     def fail(field_path: str, message: str) -> ConfigError:
         return ConfigError(f"{where}: {field_path}: {message}")
 
+    def known_keys(mapping: dict, keys: tuple[str, ...], prefix: str = "") -> None:
+        for key in mapping:
+            if key not in keys:
+                raise fail(f"{prefix}{key}", "unknown key; expected one of: " + ", ".join(keys))
+
+    known_keys(data, ("array", "factors", "responses", "precision"))
     array = data.get("array")
     if not isinstance(array, str) or not array:
         raise fail("array", "expected an array name or 'auto'")
 
-    def entries(key: str, fields: str):
+    def entries(key: str, fields: tuple[str, ...]):
         """Each mapping of the non-empty list ``data[key]``, with its checked name and unit."""
         raw = data.get(key)
         if not isinstance(raw, list) or not raw:
@@ -81,7 +88,8 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
         for i, item in enumerate(raw):
             loc = f"{key}[{i}]"
             if not isinstance(item, dict):
-                raise fail(loc, f"expected a mapping with {fields}")
+                raise fail(loc, "expected a mapping with " + "/".join(fields))
+            known_keys(item, fields, f"{loc}.")
             name = item.get("name")
             if not isinstance(name, str) or not name:
                 raise fail(f"{loc}.name", "expected a non-empty string")
@@ -91,11 +99,9 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
             yield loc, item, name, unit
 
     factors = []
-    for loc, item, name, unit in entries("factors", "name/unit/levels"):
+    for loc, item, name, unit in entries("factors", ("name", "unit", "levels")):
         levels = item.get("levels")
-        if not isinstance(levels, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in levels
-        ):
+        if not isinstance(levels, list) or not all(map(_is_number, levels)):
             raise fail(f"{loc}.levels", "expected a list of numbers")
         try:
             factors.append(Factor(name=name, unit=unit, levels=tuple(levels)))
@@ -103,13 +109,13 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
             raise fail(loc, str(exc)) from None
 
     responses = []
-    for loc, item, name, unit in entries("responses", "name/unit/objective"):
+    for loc, item, name, unit in entries("responses", ("name", "unit", "objective", "target")):
         try:
             objective = Objective.from_string(item.get("objective", ""))
         except TaguchiKitError as exc:
             raise fail(f"{loc}.objective", str(exc)) from None
         target = item.get("target")
-        if target is not None and not isinstance(target, (int, float)):
+        if target is not None and not _is_number(target):
             raise fail(f"{loc}.target", "expected a number")
         try:
             responses.append(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from taguchikit.arrays import OrthogonalArray
-from taguchikit.errors import BindError, ResultsFormatError
+from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
 from taguchikit.formatting import number_label
 
 __all__ = ["Factor", "Run", "Design", "bind", "export_run_sheet", "read_run_sheet"]
@@ -44,11 +44,13 @@ class Factor:
 
     def level_index(self, value: float) -> int:
         """Index of a physical value in the level list (exact match)."""
-        for i, v in enumerate(self.levels):
-            if v == value:
-                return i
-        choices = ", ".join(number_label(v) for v in self.levels)
-        raise BindError(f"{number_label(value)} is not a level of {self.name!r} (levels: {choices})")
+        try:
+            return self.levels.index(value)
+        except ValueError:
+            choices = ", ".join(number_label(v) for v in self.levels)
+            raise InvalidLevelError(
+                f"{number_label(value)} is not a level of {self.name!r} (levels: {choices})"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -128,24 +130,17 @@ def read_run_sheet(text: str | Iterable[str]) -> tuple[Run, ...]:
     """
     table = _read_run_table(text, "run sheet")
     names = [_strip_unit(h) for h in next(table)[1:]]
-    runs: list[Run] = []
-    for lineno, number, cells in table:
-        try:
-            values = [float(cell) for cell in cells]
-        except ValueError as exc:
-            raise ResultsFormatError(f"row {lineno}: {exc}") from None
-        runs.append(Run(number, dict(zip(names, values))))
-    return tuple(runs)
+    return tuple(Run(number, dict(zip(names, values))) for number, values in table)
 
 
 def _read_run_table(text: str | Iterable[str], what: str) -> Iterator:
-    """Read a ``run,<column>,...`` CSV table: yield its header, then ``(line, run, cells)`` per row.
+    """Read a ``run,<column>,...`` CSV table: yield its header, then ``(run, values)`` per row.
 
     Blank lines and lines starting with ``#`` are skipped. The header must
     start with ``run`` and name each column once; each row must be as wide
-    as the header and start with an integer run number. ``line`` is the
-    row's 1-based line number in the file and ``cells`` are the row's cells
-    after the run number.
+    as the header, start with an integer run number and carry a finite
+    number in every other cell. Errors name the row by its 1-based line
+    number in the file.
     """
     lines = text.splitlines() if isinstance(text, str) else text
     # A skipped line is read as an empty row, so the reader's line count stays the file's.
@@ -165,6 +160,7 @@ def _read_run_table(text: str | Iterable[str], what: str) -> Iterator:
         if repeated:
             raise ResultsFormatError(f"{what} repeats column(s): {', '.join(repeated)}")
         yield header
+        names = header[1:]
         for row in reader:
             if not row:
                 continue
@@ -178,7 +174,20 @@ def _read_run_table(text: str | Iterable[str], what: str) -> Iterator:
                 raise ResultsFormatError(
                     f"row {reader.line_num}, column 'run': not an integer: {row[0]!r}"
                 ) from None
-            yield reader.line_num, number, row[1:]
+            values = []
+            for name, cell in zip(names, row[1:]):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ResultsFormatError(
+                        f"row {reader.line_num}, column {name!r}: not a number: {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ResultsFormatError(
+                        f"row {reader.line_num}, column {name!r}: not a finite number: {cell!r}"
+                    )
+                values.append(value)
+            yield number, values
     except csv.Error as exc:
         raise ResultsFormatError(f"row {reader.line_num}: {exc}") from None
 

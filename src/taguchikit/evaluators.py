@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Mapping, Sequence
 
-from taguchikit.analysis import AnalysisReport, RunResult, group_replicates
+from taguchikit.analysis import AnalysisReport, RunResult, _response_index, group_replicates
 from taguchikit.arrays import verify_orthogonality
-from taguchikit.design import Design
+from taguchikit.design import Design, Factor
 from taguchikit.errors import (
     CombinationNotCoveredError,
     InvalidLevelError,
@@ -31,10 +31,11 @@ __all__ = ["TableEvaluator", "SurrogateEvaluator", "fit_surrogate"]
 def _settings_key(
     settings: Mapping[str, float], factor_names: Sequence[str]
 ) -> tuple[float, ...]:
-    missing = [name for name in factor_names if name not in settings]
-    if missing:
-        raise InvalidLevelError(f"settings lack factor(s): {', '.join(missing)}")
-    return tuple(float(settings[name]) for name in factor_names)
+    try:
+        return tuple(float(settings[name]) for name in factor_names)
+    except KeyError:
+        missing = [name for name in factor_names if name not in settings]
+        raise InvalidLevelError(f"settings lack factor(s): {', '.join(missing)}") from None
 
 
 def _format_key(key: tuple[float, ...]) -> str:
@@ -68,17 +69,7 @@ class TableEvaluator:
         return cls(factor_names=design.factor_names, response_names=response_names, _index=index)
 
     def evaluate(self, settings: Mapping[str, float], response: str | None = None) -> float:
-        if response is None:
-            if len(self.response_names) != 1:
-                raise UnknownResponseError(
-                    "table records several responses; name one of: "
-                    + ", ".join(self.response_names)
-                )
-            response = self.response_names[0]
-        if response not in self.response_names:
-            raise UnknownResponseError(
-                f"no response named {response!r}; available: " + ", ".join(self.response_names)
-            )
+        response = self.response_names[_response_index(self.response_names, response, "table")]
         key = _settings_key(settings, self.factor_names)
         hit = self._index.get(key)
         if hit is None or not hit.get(response):
@@ -100,59 +91,49 @@ class TableEvaluator:
 class SurrogateEvaluator:
     """Additive stand-in fitted from a balanced screening.
 
-    Evaluation at a level combination is the grand mean plus one offset
-    (level mean minus grand mean) per factor, i.e. exactly the additive
+    Evaluation at a level combination is the grand mean plus, per factor,
+    the level mean minus the grand mean: exactly the additive
     optimum-prediction formula extended to every combination. Purely
     additive by construction: factor interactions are not modeled.
     """
 
     response: str
     grand_mean: float
-    factor_names: tuple[str, ...]
-    offsets: tuple[dict[float, float], ...]
+    factors: tuple[Factor, ...]
+    level_means: tuple[tuple[float, ...], ...]
 
     def evaluate(self, settings: Mapping[str, float], response: str | None = None) -> float:
         if response is not None and response != self.response:
             raise UnknownResponseError(
                 f"surrogate answers {self.response!r}, not {response!r}"
             )
-        key = _settings_key(settings, self.factor_names)
-        offsets = []
-        for name, value, table in zip(self.factor_names, key, self.offsets):
-            if value not in table:
-                choices = ", ".join(number_label(v) for v in table)
-                raise InvalidLevelError(
-                    f"{number_label(value)} is not a fitted level of {name!r} (levels: {choices})"
-                )
-            offsets.append(table[value])
-        return self.grand_mean + sum(offsets)
+        key = _settings_key(settings, [factor.name for factor in self.factors])
+        grand = self.grand_mean
+        # The same sum in the same order as predict_optimum, so the two agree to the last bit.
+        return grand + sum([
+            means[factor.level_index(value)] - grand
+            for factor, value, means in zip(self.factors, key, self.level_means)
+        ])
 
 
 def fit_surrogate(report: AnalysisReport, response: str | None = None) -> SurrogateEvaluator:
-    """Extract the additive model (grand mean + level-mean offsets) from a report.
+    """The report's additive model (grand mean and level means) for one response.
 
     The fitted surrogate agrees with the optimum-prediction operation at
     every level combination of the source design. Requires a balanced
-    design; offsets from unbalanced level counts would not be comparable.
+    design; level means from unbalanced level counts would not be comparable.
     """
     analysis = report.response(response)
-    check = verify_orthogonality(report.design.array)
-    if not check.balanced:
-        broken = sorted({v.column + 1 for v in check.balance_violations})
+    violations = verify_orthogonality(report.design.array).balance_violations
+    if violations:
+        broken = sorted({v.column + 1 for v in violations})
         raise UnbalancedDesignError(
             "surrogate requires a balanced design; unbalanced column(s): "
             + ", ".join(map(str, broken))
         )
-    offsets = tuple(
-        {
-            factor.levels[l]: analysis.level_means[f][l] - analysis.grand_mean
-            for l in range(len(factor.levels))
-        }
-        for f, factor in enumerate(report.design.factors)
-    )
     return SurrogateEvaluator(
         response=analysis.spec.name,
         grand_mean=analysis.grand_mean,
-        factor_names=report.design.factor_names,
-        offsets=offsets,
+        factors=report.design.factors,
+        level_means=analysis.level_means,
     )

@@ -197,23 +197,36 @@ def prediction_to_json(prediction: Prediction) -> str:
     return json.dumps(body, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
+def _is_number(value: object) -> bool:
+    """Whether a value parsed from JSON or YAML is a number (an int or a float, not a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def prediction_from_json_dict(data: dict) -> Prediction:
     """Read back a prediction document; raises :class:`ConfigError` if it is not one.
 
-    The settings must be a mapping with one entry per level label, and
-    they and the predicted value must be finite numbers.
+    ``response`` and ``unit`` must be strings, ``levels`` must hold one
+    integer label (1 or more) per entry of the ``settings`` mapping, and
+    the settings and ``predicted`` must be finite numbers.
     """
     try:
         levels, settings = data["levels"], data["settings"]
+        response, unit, predicted = data["response"], data.get("unit", ""), data["predicted"]
         shaped = isinstance(levels, list) and isinstance(settings, dict)
         if not shaped or len(levels) != len(settings):
             raise ValueError("'levels' must list one label per entry of the 'settings' mapping")
+        if not all(isinstance(l, int) and not isinstance(l, bool) and l >= 1 for l in levels):
+            raise ValueError("level labels must be integers from 1 up")
+        if not isinstance(response, str) or not isinstance(unit, str):
+            raise ValueError("'response' and 'unit' must be strings")
+        if not all(map(_is_number, [*settings.values(), predicted])):
+            raise ValueError("settings and 'predicted' must be numbers")
         prediction = Prediction(
-            response=data["response"],
-            unit=data.get("unit", ""),
-            level_indices=tuple(int(l) - 1 for l in levels),
+            response=response,
+            unit=unit,
+            level_indices=tuple(l - 1 for l in levels),
             settings={k: float(v) for k, v in settings.items()},
-            predicted=float(data["predicted"]),
+            predicted=float(predicted),
             confirmation=data.get("confirmation"),
             error_percent=data.get("error_percent"),
         )

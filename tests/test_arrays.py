@@ -47,7 +47,7 @@ class TestCatalog:
         assert (l4.runs, l4.columns) == (4, 3)
         assert l4.levels_per_column == (2, 2, 2)
         for j in range(3):
-            col = l4.column(j)
+            col = [row[j] for row in l4.cells]
             assert col.count(0) == col.count(1) == 2
 
     @pytest.mark.parametrize(
@@ -90,30 +90,29 @@ class TestVerify:
         rows = [list(r) for r in l9.cells]
         rows[0][1] = 1  # level 0 -> 1 in column 2
         report = verify_orthogonality(OrthogonalArray("L9-broken", l9.levels_per_column, rows))
-        assert not report.passed and not report.balanced
+        assert not report.passed and report.balance_violations
         observed = {
             (v.level, v.observed) for v in report.balance_violations if v.column == 1
         }
         assert (0, 2) in observed and (1, 4) in observed
 
     def test_single_column_passes_vacuously(self):
-        report = verify_orthogonality([[0], [1], [0], [1]])
+        report = verify_orthogonality(OrthogonalArray("single", (2,), ((0,), (1,), (0,), (1,))))
         assert report.passed
         assert report.pair_violations == ()
 
+    # A structurally broken matrix never reaches the check: the constructor refuses it.
     def test_ragged_matrix_is_structural_error(self):
         with pytest.raises(ArrayStructureError, match="ragged"):
-            verify_orthogonality([[0, 1], [0]], [2, 2])
-        with pytest.raises(ArrayStructureError, match="ragged"):
-            verify_orthogonality([[0, 1], [0]])
+            OrthogonalArray("ragged", (2, 2), ((0, 1), (0,)))
 
     def test_out_of_range_cell_is_structural_error(self):
         with pytest.raises(ArrayStructureError, match="out of range"):
-            verify_orthogonality([[0, 0], [1, 3]], [2, 2])
+            OrthogonalArray("range", (2, 2), ((0, 0), (1, 3)))
 
     def test_non_integer_cell_is_structural_error(self):
         with pytest.raises(ArrayStructureError, match="not an integer"):
-            verify_orthogonality([[0, 0], [1, 0.5]], [2, 2])
+            OrthogonalArray("fraction", (2, 2), ((0, 0), (1, 0.5)))
 
     @given(data=st.data(), name=st.sampled_from(CATALOG_NAMES))
     def test_any_in_range_mutation_fails(self, data, name):

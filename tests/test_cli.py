@@ -13,6 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from taguchikit.cli import load_config, main
@@ -331,6 +332,42 @@ class TestConfigParsing:
             f"precision.mean: expected 0 to 15 decimals, got {decimals}"
         )
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                "responses:",
+                "precison:\n  mean: 2\nresponses:",
+                "precison: unknown key; expected one of: array, factors, responses, precision",
+            ),
+            (
+                "    unit: MPa\n",
+                "    unit: MPa\n    step: 5\n",
+                "factors[2].step: unknown key; expected one of: name, unit, levels",
+            ),
+            (
+                "    objective: smaller-the-better\n",
+                "    objective: smaller-the-better\n    traget: 30\n",
+                "responses[0].traget: unknown key; expected one of: name, unit, objective, target",
+            ),
+            (
+                "    objective: smaller-the-better\n",
+                "    objective: nominal-the-best\n    target: true\n",
+                "responses[0].target: expected a number",
+            ),
+        ],
+        ids=["top-level", "factor", "response", "boolean-target"],
+    )
+    def test_unknown_keys_and_boolean_target_rejected(
+        self, fixtures_dir, tmp_path, capsys, old, new, message
+    ):
+        config_text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")
+        assert old in config_text
+        config = tmp_path / "config.yaml"
+        config.write_text(config_text.replace(old, new, 1), encoding="utf-8")
+        assert main(["design", str(config)]) == 2
+        assert single_error(capsys) == f"error: {config}: {message}"
+
     def test_level_beyond_float_range_reports_field_path(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -421,6 +458,15 @@ class TestTotality:
             {"predicted": 10**400},
             {"levels": [3, 1, 2]},
             {"levels": [1e999, 1, 2, 1]},
+            {"levels": [0, -3, 2.7, "4"]},
+            {"levels": [1, 2, True, 1]},
+            {"levels": [3, 1, 2, 0]},
+            {"settings": {"a": "85", "b": 215, "c": 53, "d": 3.5}},
+            {"settings": {"a": 85, "b": 215, "c": True, "d": 3.5}},
+            {"predicted": "21.2575"},
+            {"predicted": False},
+            {"response": 7},
+            {"unit": ["s"]},
         ],
     )
     def test_malformed_prediction_document(self, fixture_paths, tmp_path, capsys, edit):
@@ -507,6 +553,64 @@ class TestTotalityProperty:
             assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
+_CONFIG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 10**400),
+    st.floats(),
+    st.text(max_size=8),
+    st.sampled_from(["L4", "L9", "L27", "auto", "nominal-the-best", "larger-the-better"]),
+    st.lists(st.one_of(st.integers(-5, 300), st.floats(), st.booleans()), max_size=5),
+    st.lists(st.integers(1, 300), min_size=3, max_size=3, unique=True).map(sorted),
+    st.dictionaries(st.sampled_from(["snr", "mean", "name", "x"]), st.integers(-3, 20), max_size=2),
+)
+
+
+@st.composite
+def _config_yaml(draw):
+    """The fixture config with keys dropped, values replaced and keys added, as YAML."""
+    config = yaml.safe_load((REPO / "fixtures" / "clip_moulding.yaml").read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        entries = [config.get("factors"), config.get("responses")]
+        items = [m for entry in entries if isinstance(entry, list) for m in entry]
+        mapping = draw(st.sampled_from([config, *(m for m in items if isinstance(m, dict))]))
+        action = draw(st.sampled_from(["drop", "replace", "add"]))
+        if action != "add" and mapping:
+            key = draw(st.sampled_from(sorted(mapping, key=str)))
+            if action == "drop":
+                del mapping[key]
+            else:
+                mapping[key] = draw(_CONFIG_VALUES)
+        else:
+            key = draw(st.sampled_from(["precision", "target", "unit", "precison", "traget", "x"]))
+            mapping[key] = draw(_CONFIG_VALUES)
+    return yaml.safe_dump(config, allow_unicode=True)
+
+
+class TestConfigTotalityProperty:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=_config_yaml(), command=st.sampled_from(["design", "analyze"]))
+    def test_commands_are_total_over_configs(self, text, command):
+        results = str(REPO / "fixtures" / "clip_moulding_results.csv")
+        with tempfile.TemporaryDirectory() as scratch:
+            config = Path(scratch) / "config.yaml"
+            config.write_text(text, encoding="utf-8")
+            argv = ["design", str(config)]
+            if command == "analyze":
+                argv = ["analyze", str(config), results, "--format", "json"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+            if command == "analyze":
+                json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert code == 2 and out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+
 class TestLayoutInvariance:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -541,3 +645,20 @@ def test_case_study_script_runs(tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert "21.2575" in completed.stdout and "7.25" in completed.stdout
+
+
+def test_readme_library_example_runs():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("## Library example")) + len("```python\n")
+    example = readme[start:readme.index("```\n", start)]
+    assert "fit_surrogate(report" in example
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", example],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr

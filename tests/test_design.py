@@ -6,7 +6,7 @@ import pytest
 
 from taguchikit.arrays import get_array
 from taguchikit.design import Factor, bind, export_run_sheet, read_run_sheet
-from taguchikit.errors import BindError, ResultsFormatError
+from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
 
 # As originally published the pressure column is in bar; the analysis
 # fixture declares MPa because the recorded result tables use MPa.
@@ -98,7 +98,8 @@ class TestFactorValidation:
     def test_level_index_exact_match(self):
         factor = Factor("x", "s", (3.5, 4.5, 5.5))
         assert factor.level_index(4.5) == 1
-        with pytest.raises(BindError, match="not a level"):
+        message = r"^4 is not a level of 'x' \(levels: 3.5, 4.5, 5.5\)$"
+        with pytest.raises(InvalidLevelError, match=message):
             factor.level_index(4.0)
 
 
@@ -134,12 +135,18 @@ class TestRunSheetCsv:
             read_run_sheet("a,b\n1,2\n")
 
     def test_rejects_non_numeric_cell(self):
-        with pytest.raises(ResultsFormatError, match="row 2"):
+        with pytest.raises(ResultsFormatError, match=r"^row 2, column 'a': not a number: 'oops'$"):
             read_run_sheet("run,a\n1,oops\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_rejects_non_finite_setting(self, cell):
+        message = rf"^row 3, column 'b \(s\)': not a finite number: '{cell}'$"
+        with pytest.raises(ResultsFormatError, match=message):
+            read_run_sheet(f"run,a,b (s)\n1,2,3\n2,4,{cell}\n")
 
     def test_unit_after_a_space_is_stripped(self):
         assert read_run_sheet("run,a (x)\n1,2\n")[0].settings == {"a": 2.0}
 
     def test_rows_are_numbered_by_file_line(self):
-        with pytest.raises(ResultsFormatError, match="row 4: "):
+        with pytest.raises(ResultsFormatError, match=r"^row 4, column 'a': not a number: 'oops'$"):
             read_run_sheet("run,a\n# note\n\n1,oops\n")

@@ -86,8 +86,8 @@ class TestSurrogate:
         surrogate = fit_surrogate(clip_report, "cycle_time")
         assert surrogate.grand_mean == pytest.approx(sum(CYCLE) / 9, rel=1e-12)
         assert abs(surrogate.grand_mean - 35.3187) <= 0.0001
-        assert len(surrogate.offsets) == 4
-        assert all(len(table) == 3 for table in surrogate.offsets)
+        assert surrogate.level_means == clip_report.response("cycle_time").level_means
+        assert surrogate.factors == clip_report.design.factors
 
     @pytest.mark.parametrize("response", ["cycle_time", "shrinkage"])
     def test_matches_prediction_on_every_combination(self, clip_report, response):
@@ -123,8 +123,9 @@ class TestSurrogate:
             clip_design, results, (ResponseSpec("flat", "", Objective.SMALLER_IS_BETTER),)
         )
         surrogate = fit_surrogate(report, "flat")
-        assert all(offset == 0.0 for table in surrogate.offsets for offset in table.values())
-        assert surrogate.evaluate(clip_design.runs[4].settings) == 3.25
+        assert all(m == 3.25 for row in surrogate.level_means for m in row)
+        for combo in product(*(f.levels for f in clip_design.factors)):
+            assert surrogate.evaluate(dict(zip(clip_design.factor_names, combo))) == 3.25
 
     def test_unbalanced_design_rejected(self):
         lopsided = OrthogonalArray("lopsided", (2,), ((0,), (0,), (1,)))
@@ -136,7 +137,8 @@ class TestSurrogate:
 
     def test_unfitted_level_value_rejected(self, clip_report):
         surrogate = fit_surrogate(clip_report, "cycle_time")
-        with pytest.raises(InvalidLevelError, match="not a fitted level"):
+        message = r"^82 is not a level of 'mould_temperature' \(levels: 75, 80, 85\)$"
+        with pytest.raises(InvalidLevelError, match=message):
             surrogate.evaluate(
                 {
                     "mould_temperature": 82,
