@@ -7,67 +7,52 @@ model, with evaluators that replay recorded results or extend a
 screening to untried level combinations.
 """
 
-from taguchikit.analysis import (
-    AnalysisReport,
-    Objective,
-    Prediction,
-    ResponseAnalysis,
-    ResponseSpec,
-    RunResult,
-    analyze,
-    error_percent,
-    level_means,
-    optimal_levels,
-    predict_optimum,
-    rank_factors,
-    read_results_csv,
-    snr,
-    validate,
-)
-from taguchikit.arrays import (
-    CATALOG_NAMES,
-    OrthogonalArray,
-    VerificationReport,
-    get_array,
-    select_array,
-    verify_orthogonality,
-)
-from taguchikit.design import Design, Factor, Run, bind, export_run_sheet, read_run_sheet
-from taguchikit.errors import TaguchiKitError
-from taguchikit.evaluators import SurrogateEvaluator, TableEvaluator, fit_surrogate
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "CATALOG_NAMES",
-    "Design",
-    "Factor",
-    "Objective",
-    "OrthogonalArray",
-    "Prediction",
-    "ResponseAnalysis",
-    "ResponseSpec",
-    "Run",
-    "RunResult",
-    "SurrogateEvaluator",
-    "TableEvaluator",
-    "TaguchiKitError",
-    "VerificationReport",
-    "analyze",
-    "bind",
-    "error_percent",
-    "export_run_sheet",
-    "fit_surrogate",
-    "get_array",
-    "level_means",
-    "optimal_levels",
-    "predict_optimum",
-    "rank_factors",
-    "read_results_csv",
-    "read_run_sheet",
-    "select_array",
-    "snr",
-    "validate",
-    "verify_orthogonality",
-]
+# Public name -> the submodule that defines it. Each submodule is imported on
+# first use (PEP 562), so a CLI command loads only the modules it reaches.
+_EXPORTS = {
+    "AnalysisReport": "analysis",
+    "CATALOG_NAMES": "arrays",
+    "Design": "design",
+    "Factor": "design",
+    "Objective": "analysis",
+    "OrthogonalArray": "arrays",
+    "Prediction": "analysis",
+    "ResponseAnalysis": "analysis",
+    "ResponseSpec": "analysis",
+    "Run": "design",
+    "RunResult": "analysis",
+    "SurrogateEvaluator": "evaluators",
+    "TableEvaluator": "evaluators",
+    "TaguchiKitError": "errors",
+    "VerificationReport": "arrays",
+    "analyze": "analysis",
+    "bind": "design",
+    "error_percent": "analysis",
+    "export_run_sheet": "design",
+    "fit_surrogate": "evaluators",
+    "get_array": "arrays",
+    "optimal_levels": "analysis",
+    "predict_optimum": "analysis",
+    "rank_factors": "analysis",
+    "read_results_csv": "analysis",
+    "read_run_sheet": "design",
+    "select_array": "arrays",
+    "snr": "analysis",
+    "validate": "analysis",
+    "verify_orthogonality": "arrays",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

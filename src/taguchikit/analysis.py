@@ -12,7 +12,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, replace
-from statistics import fmean
 from typing import Iterable, Sequence
 
 from taguchikit.design import Design, _read_run_table
@@ -35,7 +34,6 @@ __all__ = [
     "Prediction",
     "snr",
     "read_results_csv",
-    "level_means",
     "rank_factors",
     "optimal_levels",
     "analyze",
@@ -91,9 +89,7 @@ class RunResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self,
-            "values",
-            {name: tuple(float(v) for v in ys) for name, ys in self.values.items()},
+            self, "values", {name: tuple(map(float, ys)) for name, ys in self.values.items()}
         )
         for name, ys in self.values.items():
             if not ys:
@@ -105,6 +101,11 @@ class RunResult:
                 raise ResultsFormatError(
                     f"run {self.run_number}: response {name!r} has a non-finite value: {bad!r}"
                 )
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Arithmetic mean, to the bit what ``statistics.fmean`` gives for a sized input."""
+    return math.fsum(values) / len(values)
 
 
 def snr(
@@ -124,22 +125,22 @@ def snr(
     zero (all-zero values, a zero value under larger-the-better, or every
     value exactly on target), or leaves the floating-point range.
     """
-    ys = [float(v) for v in values]
+    ys = list(map(float, values))
     if not ys:
         raise SingularityError("S/N ratio needs at least one value")
     try:
         if objective is Objective.SMALLER_IS_BETTER:
-            msd = fmean(y * y for y in ys)
+            msd = _mean([y * y for y in ys])
             if msd == 0.0:
                 raise SingularityError("smaller-the-better S/N undefined for all-zero values")
         elif objective is Objective.LARGER_IS_BETTER:
-            if any(y == 0.0 for y in ys):
+            if 0.0 in ys:
                 raise SingularityError("larger-the-better S/N undefined when any value is zero")
-            msd = fmean(1.0 / (y * y) for y in ys)
+            msd = _mean([1.0 / (y * y) for y in ys])
         elif objective is Objective.NOMINAL_IS_BEST:
             if target is None:
                 raise SingularityError("nominal-the-best S/N needs a target")
-            msd = fmean((y - target) ** 2 for y in ys)
+            msd = _mean([(y - target) ** 2 for y in ys])
             if msd == 0.0:
                 raise SingularityError(
                     "nominal-the-best S/N undefined when every value equals the target"
@@ -179,7 +180,7 @@ def read_results_csv(
         flat.setdefault(number, []).extend(values)
     width = len(responses)
     return tuple(
-        RunResult(number, {name: tuple(flat[number][i::width]) for i, name in enumerate(responses)})
+        RunResult(number, {name: flat[number][i::width] for i, name in enumerate(responses)})
         for number in sorted(flat)
     )
 
@@ -230,7 +231,7 @@ def _run_statistics(
     for run, ys in zip(design.runs, _run_replicates(design, groups, spec.name)):
         where = f"run {run.number}: response {spec.name!r}"
         try:
-            mean = fmean(ys)
+            mean = _mean(ys)
         except OverflowError:  # the replicates' sum is beyond the double range
             mean = math.inf
         if not abs(mean) <= limit:
@@ -255,20 +256,8 @@ def _level_matrix(design: Design, per_run: Sequence[float]) -> tuple[tuple[float
                 raise IncompleteResultsError(
                     f"level {level + 1} of factor {factor.name!r} is never exercised"
                 )
-        matrix.append(tuple(fmean(bucket) for bucket in buckets))
+        matrix.append(tuple(map(_mean, buckets)))
     return tuple(matrix)
-
-
-def level_means(
-    design: Design, results: Sequence[RunResult], response: str
-) -> tuple[tuple[float, ...], ...]:
-    """Main-effect means: cell (f, l) averages the run means where factor f is at level l.
-
-    With a balanced array every cell averages ``runs / levels`` runs, which
-    is what makes these means comparable across levels.
-    """
-    replicates = _run_replicates(design, group_replicates(results), response)
-    return _level_matrix(design, [fmean(ys) for ys in replicates])
 
 
 def rank_factors(
@@ -383,7 +372,7 @@ def analyze(
         analyses.append(
             ResponseAnalysis(
                 spec=spec,
-                grand_mean=fmean(run_means),
+                grand_mean=_mean(run_means),
                 run_means=tuple(run_means),
                 snr_per_run=snr_per_run,
                 level_means=means,

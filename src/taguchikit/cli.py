@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,11 +53,32 @@ def _read_input(path: str | Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
+# libyaml overflows the C stack near 25,000 levels of nesting, and a text can
+# nest no deeper than it is long; longer texts go to the pure-Python parser,
+# which fails on deep nesting with a RecursionError instead.
+_C_YAML_LIMIT = 4096
+
+
+def _load_yaml(text: str):
+    """``yaml.safe_load``, through libyaml when it is installed and the text is small.
+
+    A text libyaml rejects is parsed again by the pure-Python loader, so the
+    error names the same position as without libyaml.
+    """
+    loader = getattr(yaml, "CSafeLoader", None)
+    if loader is not None and len(text) <= _C_YAML_LIMIT:
+        try:
+            return yaml.load(text, Loader=loader)
+        except yaml.YAMLError:
+            pass
+    return yaml.safe_load(text)
+
+
 def load_config(path: str | Path) -> ProjectConfig:
     path = Path(path)
     text = _read_input(path, "config")
     try:
-        data = yaml.safe_load(text)
+        data = _load_yaml(text)
     except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
@@ -182,6 +202,8 @@ def _write_output(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile  # here, so a command that prints to stdout does not import it
+
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name, suffix=".tmp")
     try:
@@ -311,12 +333,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every line break str.splitlines() knows, escaped: a name from the input that
+# holds one would otherwise split a diagnostic over two lines.
+_ESCAPED_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (TaguchiKitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ESCAPED_LINE_BREAKS)}", file=sys.stderr)
         return 2
 
 

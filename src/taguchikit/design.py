@@ -174,22 +174,28 @@ def _read_run_table(text: str | Iterable[str], what: str) -> Iterator:
                 raise ResultsFormatError(
                     f"row {reader.line_num}, column 'run': not an integer: {row[0]!r}"
                 ) from None
-            values = []
-            for name, cell in zip(names, row[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ResultsFormatError(
-                        f"row {reader.line_num}, column {name!r}: not a number: {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ResultsFormatError(
-                        f"row {reader.line_num}, column {name!r}: not a finite number: {cell!r}"
-                    )
-                values.append(value)
+            try:
+                values = list(map(float, row[1:]))
+            except ValueError:
+                values = None
+            if values is None or not all(map(math.isfinite, values)):
+                _check_cells(names, row[1:], reader.line_num)
             yield number, values
     except csv.Error as exc:
         raise ResultsFormatError(f"row {reader.line_num}: {exc}") from None
+
+
+def _check_cells(names: Sequence[str], cells: Sequence[str], line: int) -> None:
+    """Raise for the first cell of a row that is not a finite number, naming its column."""
+    for name, cell in zip(names, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ResultsFormatError(
+                f"row {line}, column {name!r}: not a number: {cell!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise ResultsFormatError(f"row {line}, column {name!r}: not a finite number: {cell!r}")
 
 
 def _strip_unit(label: str) -> str:

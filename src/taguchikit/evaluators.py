@@ -11,10 +11,9 @@ to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Mapping, Sequence
 
-from taguchikit.analysis import AnalysisReport, RunResult, _response_index, group_replicates
+from taguchikit.analysis import AnalysisReport, RunResult, _mean, _response_index, group_replicates
 from taguchikit.arrays import verify_orthogonality
 from taguchikit.design import Design, Factor
 from taguchikit.errors import (
@@ -69,6 +68,8 @@ class TableEvaluator:
         return cls(factor_names=design.factor_names, response_names=response_names, _index=index)
 
     def evaluate(self, settings: Mapping[str, float], response: str | None = None) -> float:
+        if not self.response_names:
+            raise CombinationNotCoveredError("table holds no results")
         response = self.response_names[_response_index(self.response_names, response, "table")]
         key = _settings_key(settings, self.factor_names)
         hit = self._index.get(key)
@@ -78,7 +79,7 @@ class TableEvaluator:
                 f"no recorded result at {_format_key(key)}; nearest recorded: "
                 + "; ".join(_format_key(k) for k in nearest)
             )
-        return fmean(hit[response])
+        return _mean(hit[response])
 
     def _nearest(self, key: tuple[float, ...], count: int = 3) -> list[tuple[float, ...]]:
         def distance(recorded: tuple[float, ...]) -> int:

@@ -6,7 +6,7 @@ import math
 from statistics import fmean
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from taguchikit.analysis import (
     Objective,
@@ -15,7 +15,6 @@ from taguchikit.analysis import (
     RunResult,
     analyze,
     error_percent,
-    level_means,
     optimal_levels,
     predict_optimum,
     rank_factors,
@@ -48,6 +47,12 @@ L9_PATTERN = (
     (1, 0, 1, 2), (1, 1, 2, 0), (1, 2, 0, 1),
     (2, 0, 2, 1), (2, 1, 0, 2), (2, 2, 1, 0),
 )
+
+
+def level_means(design, results, response):
+    """Raw-response level means of one response, as the analysis report gives them."""
+    spec = ResponseSpec(response, "", Objective.SMALLER_IS_BETTER)
+    return analyze(design, results, [spec]).response(response).level_means
 
 
 def brute_level_means(values, factor, level):
@@ -114,6 +119,29 @@ class TestSnr:
     def test_monotone_decreasing_for_single_replicate(self, y1, scale):
         y2 = y1 * scale
         assert snr([y1]) > snr([y2])
+
+    def test_larger_the_better_negative_zero_is_singular(self):
+        with pytest.raises(SingularityError, match="zero"):
+            snr([-0.0, 1.0], Objective.LARGER_IS_BETTER)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        ys=st.lists(
+            st.floats(min_value=1e-3, max_value=1e3) | st.floats(min_value=-1e3, max_value=-1e-3),
+            min_size=1,
+            max_size=40,
+        ),
+        target=st.floats(min_value=-1e3, max_value=1e3),
+    )
+    def test_bits_equal_statistics_fmean(self, ys, target):
+        assume(any(y != target for y in ys))
+        assert snr(ys) == -10 * math.log10(fmean(y * y for y in ys))
+        assert snr(ys, Objective.LARGER_IS_BETTER) == -10 * math.log10(
+            fmean(1.0 / (y * y) for y in ys)
+        )
+        assert snr(ys, Objective.NOMINAL_IS_BEST, target=target) == -10 * math.log10(
+            fmean((y - target) ** 2 for y in ys)
+        )
 
 
 class TestLevelMeans:
@@ -393,6 +421,16 @@ class TestResultsCsv:
             read_results_csv(text)
         with pytest.raises(ResultsFormatError, match=r"^row 3: expected 2 cells, got 3$"):
             read_results_csv("run,y\n\n1,2.0,3.0\n")
+
+    def test_earlier_row_fault_is_named_before_a_later_width_error(self):
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv("run,a,b\n1,2.0,3.0\n2,oops,3.0\n3,1.0\n")
+        assert str(caught.value) == "row 3, column 'a': not a number: 'oops'"
+
+    def test_earlier_non_finite_cell_is_named_before_a_non_numeric_one(self):
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv("run,a,b\n1,2.0,3.0\n2,nan,abc\n")
+        assert str(caught.value) == "row 3, column 'a': not a finite number: 'nan'"
 
 
 class TestSpecs:

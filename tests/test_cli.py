@@ -16,7 +16,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from taguchikit.cli import load_config, main
+from taguchikit.cli import _parse_config, load_config, main
 from taguchikit.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -261,6 +261,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line"):
             load_config(bad)
 
+    def test_loads_without_libyaml(self, fixtures_dir, clip_config, monkeypatch):
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_config(fixtures_dir / "clip_moulding.yaml") == clip_config
+
     def test_missing_levels_reports_field_path(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -494,6 +498,30 @@ class TestTotality:
         assert main(["design", str(config)]) == 2
         assert single_error(capsys).startswith(f"error: {config}: maximum recursion depth")
 
+    @pytest.mark.parametrize("text", ["a: " + "[" * 25000, "- " * 25000 + "a"], ids=["flow", "block"])
+    def test_config_nested_beyond_libyaml_stack(self, tmp_path, text):
+        config = tmp_path / "config.yaml"
+        config.write_text(text, encoding="utf-8")
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-m", "taguchikit", "design", str(config)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 2 and completed.stdout == ""
+        lines = completed.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), completed.stderr
+
+    def test_line_break_in_a_name_stays_on_the_error_line(self, fixture_paths, tmp_path, capsys):
+        config, results = fixture_paths
+        text = Path(config).read_text(encoding="utf-8")
+        edited = tmp_path / "config.yaml"
+        edited.write_text(text.replace("name: shrinkage", 'name: "shrink\\rage"'), encoding="utf-8")
+        assert main(["analyze", str(edited), results]) == 2
+        assert single_error(capsys) == "error: results table lacks response column(s): shrink\\rage"
+
     def test_error_percent_beyond_float_range(self, fixture_paths, tmp_path, capsys):
         config, results = fixture_paths
         document = tmp_path / "prediction.json"
@@ -609,6 +637,24 @@ class TestConfigTotalityProperty:
             assert code == 2 and out.getvalue() == ""
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+
+class TestConfigLoaderProperty:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(text=_config_yaml())
+    def test_load_config_agrees_with_the_pure_loader(self, text):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "config.yaml"
+            path.write_text(text, encoding="utf-8")
+            try:
+                loaded = load_config(path)
+            except ConfigError as exc:
+                loaded = str(exc)
+            try:
+                expected = _parse_config(yaml.safe_load(text), str(path))
+            except ConfigError as exc:
+                expected = str(exc)
+        assert loaded == expected
 
 
 class TestLayoutInvariance:

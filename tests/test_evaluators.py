@@ -73,6 +73,13 @@ class TestTableEvaluator:
                 "cycle_time",
             )
 
+    def test_empty_table_says_it_holds_no_results(self, clip_design):
+        empty = TableEvaluator.from_results(clip_design, [])
+        with pytest.raises(CombinationNotCoveredError, match="^table holds no results$"):
+            empty.evaluate(clip_design.runs[0].settings)
+        with pytest.raises(CombinationNotCoveredError, match="^table holds no results$"):
+            empty.evaluate(clip_design.runs[0].settings, "cycle_time")
+
     def test_replicates_average_on_evaluate(self):
         array = OrthogonalArray("pair", (2,), ((0,), (1,)))
         design = bind(array, (Factor("x", "", (1.0, 2.0)),))
