@@ -155,7 +155,7 @@ def snr(
 
 
 def read_results_csv(
-    text: str | Iterable[str],
+    text: str,
     expected_responses: Sequence[str] | None = None,
 ) -> tuple[RunResult, ...]:
     """Parse a results table: header ``run,<response>,...``, one row per run.
@@ -185,50 +185,44 @@ def read_results_csv(
     )
 
 
-def group_replicates(results: Iterable[RunResult]) -> dict[int, dict[str, list[float]]]:
-    """Replicate values per run and response, ``{run: {response: [y, ...]}}``, in input order.
+def _row_replicates(design: Design, results: Iterable[RunResult]) -> list[dict[str, list[float]]]:
+    """Each design row's replicates per response, ``[{response: [y, ...]}, ...]``, in row order.
 
-    A run's replicates may arrive split across any number of results;
-    this one pass is what run means, S/N ratios and table replay share.
+    A run's replicates may arrive split across any number of results; they are
+    appended in input order. Run means, S/N ratios and table replay share this
+    one pass, which refuses run numbers the design lacks.
     """
-    groups: dict[int, dict[str, list[float]]] = {}
+    rows: dict[int, dict[str, list[float]]] = {run.number: {} for run in design.runs}
     for result in results:
-        bucket = groups.setdefault(result.run_number, {})
+        bucket = rows.setdefault(result.run_number, {})
         for name, ys in result.values.items():
             bucket.setdefault(name, []).extend(ys)
-    return groups
-
-
-def _run_replicates(
-    design: Design, groups: dict[int, dict[str, list[float]]], response: str
-) -> list[list[float]]:
-    """One response's replicates per run in design row order; refuses incomplete data."""
-    design_numbers = [run.number for run in design.runs]
-    unknown = sorted(set(groups) - set(design_numbers))
+    unknown = sorted(rows.keys() - {run.number for run in design.runs})
     if unknown:
         raise IncompleteResultsError(
             f"results reference run number(s) not in the design: {', '.join(map(str, unknown))}"
         )
-    missing = [n for n in design_numbers if not groups.get(n, {}).get(response)]
-    if missing:
-        raise IncompleteResultsError(
-            f"missing {response!r} results for run(s): {', '.join(map(str, missing))}"
-        )
-    return [groups[n][response] for n in design_numbers]
+    return [rows[run.number] for run in design.runs]
 
 
 def _run_statistics(
-    design: Design, groups: dict[int, dict[str, list[float]]], spec: ResponseSpec
+    design: Design, rows: Sequence[dict[str, list[float]]], spec: ResponseSpec
 ) -> tuple[list[float], tuple[float, ...]]:
-    """Mean and S/N ratio of each run's replicates, in design row order.
+    """Mean and S/N ratio of each run's replicates, in design row order; refuses incomplete data.
 
     A run mean must lie within ``max_float / (2 * (runs + factors))``, so that
     level means, deltas, the grand mean and every additive prediction built
     from the means stay finite.
     """
+    missing = [run.number for run, row in zip(design.runs, rows) if spec.name not in row]
+    if missing:
+        raise IncompleteResultsError(
+            f"missing {spec.name!r} results for run(s): {', '.join(map(str, missing))}"
+        )
     limit = sys.float_info.max / (2 * (len(design.runs) + len(design.factors)))
     means, ratios = [], []
-    for run, ys in zip(design.runs, _run_replicates(design, groups, spec.name)):
+    for run, row in zip(design.runs, rows):
+        ys = row[spec.name]
         where = f"run {run.number}: response {spec.name!r}"
         try:
             mean = _mean(ys)
@@ -324,14 +318,8 @@ class ResponseAnalysis:
     ties: tuple[int, ...]
 
 
-def _response_index(names: Sequence[str], name: str | None, owner: str) -> int:
-    """Position of the response the caller meant: ``name``, or the only one ``owner`` has."""
-    if name is None:
-        if len(names) == 1:
-            return 0
-        raise UnknownResponseError(
-            f"{owner} has several responses; name one of: " + ", ".join(names)
-        )
+def _response_index(names: Sequence[str], name: str) -> int:
+    """Position of the response named ``name`` among ``names``."""
     if name not in names:
         raise UnknownResponseError(f"no response named {name!r}; available: " + ", ".join(names))
     return names.index(name)
@@ -342,11 +330,11 @@ class AnalysisReport:
     design: Design
     responses: tuple[ResponseAnalysis, ...]
 
-    def response(self, name: str | None = None) -> ResponseAnalysis:
+    def response(self, name: str) -> ResponseAnalysis:
         names = tuple(r.spec.name for r in self.responses)
-        return self.responses[_response_index(names, name, "report")]
+        return self.responses[_response_index(names, name)]
 
-    def optimal_settings(self, name: str | None = None) -> dict[str, float]:
+    def optimal_settings(self, name: str) -> dict[str, float]:
         analysis = self.response(name)
         return {
             factor.name: factor.levels[level]
@@ -362,10 +350,10 @@ def analyze(
     """Full screening for every response: S/N, level means, deltas, ranks, optima."""
     if not specs:
         raise UnknownResponseError("at least one response spec is required")
-    groups = group_replicates(results)
+    rows = _row_replicates(design, results)
     analyses = []
     for spec in specs:
-        run_means, snr_per_run = _run_statistics(design, groups, spec)
+        run_means, snr_per_run = _run_statistics(design, rows, spec)
         means = _level_matrix(design, run_means)
         deltas, ranks = rank_factors(means)
         best, tied = optimal_levels(means, spec.objective, target=spec.target)
@@ -399,9 +387,14 @@ class Prediction:
     error_percent: float | None = None
 
 
+def _additive_sum(grand: float, means: Sequence[Sequence[float]], levels: Iterable[int]) -> float:
+    """``g + sum_f (m[f][L_f] - g)``, summed in factor order: the one additive model."""
+    return grand + sum([row[level] - grand for row, level in zip(means, levels)])
+
+
 def predict_optimum(
     report: AnalysisReport,
-    response: str | None = None,
+    response: str,
     levels: Sequence[int] | None = None,
 ) -> Prediction:
     """Additive optimum prediction: grand mean plus each factor's level mean minus the grand mean.
@@ -426,10 +419,6 @@ def predict_optimum(
                     f"level index {level} out of range for factor {factor.name!r} "
                     f"(0..{len(factor.levels) - 1})"
                 )
-    grand = analysis.grand_mean
-    predicted = grand + sum(
-        analysis.level_means[f][chosen[f]] - grand for f in range(len(chosen))
-    )
     settings = {
         factor.name: factor.levels[level]
         for factor, level in zip(report.design.factors, chosen)
@@ -439,7 +428,7 @@ def predict_optimum(
         unit=analysis.spec.unit,
         level_indices=chosen,
         settings=settings,
-        predicted=predicted,
+        predicted=_additive_sum(analysis.grand_mean, analysis.level_means, chosen),
     )
 
 

@@ -253,11 +253,13 @@ def get_array(name: str) -> OrthogonalArray:
 
 
 def select_array(factor_count: int, levels: int) -> OrthogonalArray:
-    """Smallest catalog array with at least ``factor_count`` columns of ``levels`` levels.
+    """First ``factor_count`` columns of the smallest fitting catalog array of ``levels`` levels.
 
-    Only uniform level counts are supported; mixed-level selection is out
-    of scope. Raises :class:`CapacityError` when nothing in the catalog
-    is large enough, naming the largest candidate.
+    The cut keeps the catalog name and, like any columns of an orthogonal
+    array, stays strength-2 orthogonal. Only uniform level counts are
+    supported; mixed-level selection is out of scope. Raises
+    :class:`CapacityError` when nothing in the catalog is large enough,
+    naming the largest candidate.
     """
     if factor_count < 1:
         raise CapacityError(f"factor count must be >= 1, got {factor_count}")
@@ -269,7 +271,8 @@ def select_array(factor_count: int, levels: int) -> OrthogonalArray:
     ]
     for array in same_levels:  # CATALOG_NAMES is sorted by run count
         if array.columns >= factor_count:
-            return array
+            cells = tuple(row[:factor_count] for row in array.cells)
+            return OrthogonalArray(array.name, array.levels_per_column[:factor_count], cells)
     if same_levels:
         largest = same_levels[-1]
         raise CapacityError(

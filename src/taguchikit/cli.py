@@ -263,7 +263,7 @@ def _parse_level_override(design: Design, text: str) -> list[int]:
 def _cmd_predict(args: argparse.Namespace) -> int:
     config, report = _analyze_from_files(args.config, args.results, args.array)
     levels = None
-    if args.levels:
+    if args.levels is not None:
         levels = _parse_level_override(report.design, args.levels)
     prediction = predict_optimum(report, args.response, levels)
     if args.format == "text":

@@ -6,7 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from taguchikit.arrays import OrthogonalArray
 from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
@@ -122,7 +122,7 @@ def export_run_sheet(design: Design) -> str:
     return buf.getvalue()
 
 
-def read_run_sheet(text: str | Iterable[str]) -> tuple[Run, ...]:
+def read_run_sheet(text: str) -> tuple[Run, ...]:
     """Parse a run-sheet CSV back into runs (inverse of :func:`export_run_sheet`).
 
     Lines starting with ``#`` are ignored so annotated exports round-trip.
@@ -133,7 +133,7 @@ def read_run_sheet(text: str | Iterable[str]) -> tuple[Run, ...]:
     return tuple(Run(number, dict(zip(names, values))) for number, values in table)
 
 
-def _read_run_table(text: str | Iterable[str], what: str) -> Iterator:
+def _read_run_table(text: str, what: str) -> Iterator:
     """Read a ``run,<column>,...`` CSV table: yield its header, then ``(run, values)`` per row.
 
     Blank lines and lines starting with ``#`` are skipped. The header must
@@ -142,10 +142,10 @@ def _read_run_table(text: str | Iterable[str], what: str) -> Iterator:
     number in every other cell. Errors name the row by its 1-based line
     number in the file.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
     # A skipped line is read as an empty row, so the reader's line count stays the file's.
     reader = csv.reader(
-        line if line.strip() and not line.lstrip().startswith("#") else "" for line in lines
+        line if line.strip() and not line.lstrip().startswith("#") else ""
+        for line in text.splitlines()
     )
     try:
         for row in reader:

@@ -13,15 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from taguchikit.analysis import AnalysisReport, RunResult, _mean, _response_index, group_replicates
+from taguchikit.analysis import AnalysisReport, RunResult, _additive_sum, _mean
+from taguchikit.analysis import _row_replicates, _response_index
 from taguchikit.arrays import verify_orthogonality
 from taguchikit.design import Design, Factor
-from taguchikit.errors import (
-    CombinationNotCoveredError,
-    InvalidLevelError,
-    UnbalancedDesignError,
-    UnknownResponseError,
-)
+from taguchikit.errors import CombinationNotCoveredError, InvalidLevelError, UnbalancedDesignError
 from taguchikit.formatting import number_label
 
 __all__ = ["TableEvaluator", "SurrogateEvaluator", "fit_surrogate"]
@@ -52,25 +48,24 @@ class TableEvaluator:
 
     factor_names: tuple[str, ...]
     response_names: tuple[str, ...]
-    _index: dict[tuple[float, ...], dict[str, tuple[float, ...]]]
+    _index: dict[tuple[float, ...], dict[str, list[float]]]
 
     @classmethod
     def from_results(cls, design: Design, results: Sequence[RunResult]) -> "TableEvaluator":
         """One entry per run, its replicates grouped across however many results carried them."""
-        response_names = tuple(dict.fromkeys(name for result in results for name in result.values))
-        by_number = {run.number: run for run in design.runs}
-        index = {}
-        for number, values in sorted(group_replicates(results).items()):
-            if number not in by_number:
-                raise CombinationNotCoveredError(f"run {number} is not part of the design")
-            key = _settings_key(by_number[number].settings, design.factor_names)
-            index[key] = {name: tuple(ys) for name, ys in values.items()}
+        rows = _row_replicates(design, results)
+        index = {
+            _settings_key(run.settings, design.factor_names): row
+            for run, row in zip(design.runs, rows)
+            if row
+        }
+        response_names = tuple(dict.fromkeys(name for row in rows for name in row))
         return cls(factor_names=design.factor_names, response_names=response_names, _index=index)
 
-    def evaluate(self, settings: Mapping[str, float], response: str | None = None) -> float:
+    def evaluate(self, settings: Mapping[str, float], response: str) -> float:
         if not self.response_names:
             raise CombinationNotCoveredError("table holds no results")
-        response = self.response_names[_response_index(self.response_names, response, "table")]
+        _response_index(self.response_names, response)
         key = _settings_key(settings, self.factor_names)
         hit = self._index.get(key)
         if hit is None or not hit.get(response):
@@ -81,11 +76,11 @@ class TableEvaluator:
             )
         return _mean(hit[response])
 
-    def _nearest(self, key: tuple[float, ...], count: int = 3) -> list[tuple[float, ...]]:
+    def _nearest(self, key: tuple[float, ...]) -> list[tuple[float, ...]]:
         def distance(recorded: tuple[float, ...]) -> int:
             return sum(1 for a, b in zip(recorded, key) if a != b)
 
-        return sorted(self._index, key=distance)[:count]
+        return sorted(self._index, key=distance)[:3]
 
 
 @dataclass(frozen=True)
@@ -103,21 +98,13 @@ class SurrogateEvaluator:
     factors: tuple[Factor, ...]
     level_means: tuple[tuple[float, ...], ...]
 
-    def evaluate(self, settings: Mapping[str, float], response: str | None = None) -> float:
-        if response is not None and response != self.response:
-            raise UnknownResponseError(
-                f"surrogate answers {self.response!r}, not {response!r}"
-            )
+    def evaluate(self, settings: Mapping[str, float]) -> float:
         key = _settings_key(settings, [factor.name for factor in self.factors])
-        grand = self.grand_mean
-        # The same sum in the same order as predict_optimum, so the two agree to the last bit.
-        return grand + sum([
-            means[factor.level_index(value)] - grand
-            for factor, value, means in zip(self.factors, key, self.level_means)
-        ])
+        levels = map(Factor.level_index, self.factors, key)
+        return _additive_sum(self.grand_mean, self.level_means, levels)
 
 
-def fit_surrogate(report: AnalysisReport, response: str | None = None) -> SurrogateEvaluator:
+def fit_surrogate(report: AnalysisReport, response: str) -> SurrogateEvaluator:
     """The report's additive model (grand mean and level means) for one response.
 
     The fitted surrogate agrees with the optimum-prediction operation at

@@ -24,7 +24,6 @@ __all__ = [
     "report_to_json",
     "report_to_text",
     "main_effects_csv",
-    "prediction_to_json_dict",
     "prediction_to_json",
     "prediction_from_json_dict",
     "prediction_to_text",
@@ -177,7 +176,7 @@ def main_effects_csv(report: AnalysisReport) -> str:
     return buf.getvalue()
 
 
-def prediction_to_json_dict(prediction: Prediction) -> dict:
+def prediction_to_json(prediction: Prediction) -> str:
     body = {
         "schema_version": SCHEMA_VERSION,
         "response": prediction.response,
@@ -189,11 +188,6 @@ def prediction_to_json_dict(prediction: Prediction) -> dict:
     if prediction.confirmation is not None:
         body["confirmation"] = prediction.confirmation
         body["error_percent"] = prediction.error_percent
-    return body
-
-
-def prediction_to_json(prediction: Prediction) -> str:
-    body = prediction_to_json_dict(prediction)
     return json.dumps(body, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 

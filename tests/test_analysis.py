@@ -180,6 +180,14 @@ class TestLevelMeans:
         with pytest.raises(IncompleteResultsError, match="12"):
             level_means(clip_design, extra, "cycle_time")
 
+    def test_level_never_exercised_is_named(self):
+        lopsided = OrthogonalArray("lopsided", (3,), ((0,), (1,), (0,)))
+        design = bind(lopsided, (Factor("x", "", (1.0, 2.0, 3.0)),))
+        results = [RunResult(n, {"y": (float(n),)}) for n in (1, 2, 3)]
+        message = "^level 3 of factor 'x' is never exercised$"
+        with pytest.raises(IncompleteResultsError, match=message):
+            level_means(design, results, "y")
+
     def test_replicates_merge_into_run_means(self, clip_design):
         single = [RunResult(n, {"y": (float(n),)}) for n in range(1, 10)]
         doubled = [RunResult(n, {"y": (float(n) - 1, float(n) + 1)}) for n in range(1, 10)]
@@ -431,6 +439,23 @@ class TestResultsCsv:
         with pytest.raises(ResultsFormatError) as caught:
             read_results_csv("run,a,b\n1,2.0,3.0\n2,nan,abc\n")
         assert str(caught.value) == "row 3, column 'a': not a finite number: 'nan'"
+
+
+class TestInputs:
+    def test_run_result_needs_replicates(self):
+        message = "^run 3: response 'y' has no replicate values$"
+        with pytest.raises(ResultsFormatError, match=message):
+            RunResult(3, {"y": ()})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_run_result_rejects_non_finite_values(self, bad):
+        message = f"^run 3: response 'y' has a non-finite value: {bad!r}$"
+        with pytest.raises(ResultsFormatError, match=message):
+            RunResult(3, {"y": (1.0, bad)})
+
+    def test_analyze_needs_a_spec(self, clip_design, clip_results):
+        with pytest.raises(UnknownResponseError, match="^at least one response spec is required$"):
+            analyze(clip_design, clip_results, [])
 
 
 class TestSpecs:

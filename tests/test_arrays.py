@@ -14,6 +14,7 @@ from taguchikit.arrays import (
     select_array,
     verify_orthogonality,
 )
+from taguchikit.design import Factor, bind
 from taguchikit.errors import ArrayStructureError, CapacityError, UnknownArrayError
 
 # The nine-run screening pattern in its canonical row order (0-based levels).
@@ -137,6 +138,19 @@ class TestSelect:
     def test_smallest_fitting_array(self, factors, levels, expected):
         assert select_array(factors, levels).name == expected
 
+    @pytest.mark.parametrize("levels,largest", [(2, 15), (3, 13)])
+    def test_cut_to_the_factor_count_and_still_orthogonal(self, levels, largest):
+        for count in range(1, largest + 1):
+            array = select_array(count, levels)
+            assert array.columns == count
+            assert verify_orthogonality(array).passed
+
+    def test_readme_pattern_binds_three_factors(self):
+        factors = [Factor(name, "", (1.0, 2.0, 3.0)) for name in "abc"]
+        design = bind(select_array(len(factors), 3), factors)
+        assert design.array.name == "L9"
+        assert [tuple(row) for row in design.array.cells] == [row[:3] for row in L9_PATTERN]
+
     def test_capacity_error_names_largest(self):
         with pytest.raises(CapacityError, match="L27"):
             select_array(14, 3)
@@ -156,6 +170,12 @@ class TestStructure:
     def test_constructor_rejects_out_of_range(self):
         with pytest.raises(ArrayStructureError):
             OrthogonalArray("bad", (2, 2), ((0, 0), (0, 2)))
+
+    def test_constructor_rejects_no_runs_and_no_columns(self):
+        with pytest.raises(ArrayStructureError, match="^array has no runs$"):
+            OrthogonalArray("empty", (2,), ())
+        with pytest.raises(ArrayStructureError, match="^array has no columns$"):
+            OrthogonalArray("empty", (), ((), ()))
 
     def test_constructor_rejects_single_level_column(self):
         with pytest.raises(ArrayStructureError):

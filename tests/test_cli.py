@@ -33,6 +33,18 @@ responses:
 """
 
 
+L4_STUDY = """\
+array: L4
+factors:
+  - {name: a, unit: "", levels: [1, 2]}
+  - {name: b, unit: "", levels: [10, 20]}
+  - {name: c, unit: "", levels: [0.5, 1.5]}
+responses:
+  - {name: thickness, unit: mm, objective: nominal-the-best, target: 10}
+  - {name: strength, unit: N, objective: larger-the-better}
+"""
+
+
 def single_error(capsys) -> str:
     """The one ``error:`` line a failed command printed; nothing may go to stdout."""
     captured = capsys.readouterr()
@@ -69,6 +81,30 @@ class TestDesignCommand:
         config, _ = fixture_paths
         assert main(["design", config, "--array", "auto"]) == 0
         assert "auto-selected" in capsys.readouterr().out.splitlines()[0]
+
+    def test_auto_cuts_l9_to_three_factors(self, tmp_path, capsys):
+        config = tmp_path / "auto.yaml"
+        text = AUTO_CONFIG.replace('  - {name: d, unit: "", levels: [1, 2, 3]}\n', "")
+        config.write_text(text, encoding="utf-8")
+        assert main(["design", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "# array: L9 (auto-selected for 3 factors x 3 levels)"
+        assert lines[1:3] == ["run,a,b,c", "1,1,1,1"] and lines[-1] == "9,3,3,2"
+        assert len(lines) == 11
+        results = tmp_path / "results.csv"
+        rows = "".join(f"{n},{n}\n" for n in range(1, 10))
+        results.write_text("run,y\n" + rows, encoding="utf-8")
+        assert main(["analyze", str(config), str(results)]) == 0
+        assert capsys.readouterr().out.startswith("Design: L9 (9 runs x 3 factors)\n")
+
+    def test_auto_needs_one_level_count(self, tmp_path, capsys):
+        config = tmp_path / "auto.yaml"
+        text = AUTO_CONFIG.replace("levels: [1, 2, 3]}\nresponses", "levels: [1, 2]}\nresponses")
+        config.write_text(text, encoding="utf-8")
+        assert main(["design", str(config)]) == 2
+        assert single_error(capsys) == (
+            "error: auto array selection needs all factors at the same level count; got 2, 3"
+        )
 
     def test_capacity_error_exits_nonzero(self, tmp_path, capsys):
         config = tmp_path / "big.yaml"
@@ -157,6 +193,26 @@ class TestAnalyzeCommand:
             f"error: row 2, column 'cycle_time': not a finite number: {cell!r}\n"
         )
 
+    def test_nominal_and_larger_the_better_study(self, tmp_path, capsys):
+        config = tmp_path / "l4.yaml"
+        config.write_text(L4_STUDY, encoding="utf-8")
+        results = tmp_path / "results.csv"
+        # Thickness level means: a 9 / 9 (a tie), b 8 / 10, c 9.5 / 8.5; the target is 10.
+        results.write_text(
+            "run,thickness,strength\n1,8.5,5\n2,9.5,6\n3,7.5,7\n4,10.5,9\n", encoding="utf-8"
+        )
+        assert main(["analyze", str(config), str(results), "--format", "json"]) == 0
+        thickness, strength = json.loads(capsys.readouterr().out)["responses"]
+        assert thickness["target"] == 10.0 and "target" not in strength
+        assert thickness["optimal_settings"] == {"a": 1.0, "b": 20.0, "c": 0.5}
+        assert [f["optimal_level"]["tie"] for f in thickness["factors"]] == [True, False, False]
+        assert strength["optimal_settings"] == {"a": 2.0, "b": 20.0, "c": 0.5}
+        assert main(["analyze", str(config), str(results)]) == 0
+        text = capsys.readouterr().out
+        assert "Response: thickness [mm] (nominal-the-best, target 10)\n" in text
+        assert "Response: strength [N] (larger-the-better)\n" in text
+        assert re.search(r"\n  a  +9\.0000 +9\.0000 +0\.0000 +\d  1 \(tie\)\n", text), text
+
     def test_byte_order_mark_is_ignored(self, fixture_paths, fixtures_dir, tmp_path, capsys):
         config, results = fixture_paths
         exported = tmp_path / "excel.csv"
@@ -211,6 +267,19 @@ class TestPredictCommand:
         code = main(["predict", config, results, "--response", "cycle_time", "--levels", "75,215"])
         assert code == 2
         assert "4 comma-separated values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", ["", " "])
+    def test_blank_levels_fail(self, fixture_paths, capsys, levels):
+        config, results = fixture_paths
+        argv = ["predict", config, results, "--response", "cycle_time", "--levels", levels]
+        assert main(argv) == 2
+        assert single_error(capsys) == "error: --levels needs 4 comma-separated values, got 1"
+
+    def test_non_number_level_fails(self, fixture_paths, capsys):
+        config, results = fixture_paths
+        argv = ["predict", config, results, "--response", "cycle_time", "--levels", "75,hot,47,3.5"]
+        assert main(argv) == 2
+        assert single_error(capsys) == "error: --levels: 'hot' is not a number"
 
 
 class TestValidateCommand:
@@ -369,6 +438,23 @@ class TestConfigParsing:
         assert old in config_text
         config = tmp_path / "config.yaml"
         config.write_text(config_text.replace(old, new, 1), encoding="utf-8")
+        assert main(["design", str(config)]) == 2
+        assert single_error(capsys) == f"error: {config}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("- array: L9\n", "top level must be a mapping"),
+            (AUTO_CONFIG.replace("  - {name: y", "  - y\n  - {name: y"),
+             "responses[0]: expected a mapping with name/unit/objective/target"),
+            (AUTO_CONFIG + "precision: [2]\n",
+             "precision: expected a mapping of quantity name to decimals"),
+        ],
+        ids=["top-level", "entry", "precision"],
+    )
+    def test_parts_that_must_be_mappings(self, tmp_path, capsys, text, message):
+        config = tmp_path / "config.yaml"
+        config.write_text(text, encoding="utf-8")
         assert main(["design", str(config)]) == 2
         assert single_error(capsys) == f"error: {config}: {message}"
 
@@ -655,6 +741,109 @@ class TestConfigLoaderProperty:
             except ConfigError as exc:
                 expected = str(exc)
         assert loaded == expected
+
+
+def _assert_total(argv: list[str], json_out: bool) -> None:
+    """Exit 0 with output (strict JSON if ``json_out``), or exit 2 with one error line only."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue()
+        if json_out:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+
+_LEVEL_LISTS = st.one_of(
+    st.none(),
+    st.tuples(*map(st.sampled_from, (["75", "85"], ["215", "230"], ["47", "58"], ["3.5"]))).map(
+        ",".join
+    ),
+    st.sampled_from(["", " ", ",", "nan", "85,215,53", "85,215,53,3.5,4.5", "1e308,215,47,3.5"]),
+    st.lists(st.one_of(st.sampled_from(["75", "215", "47", "3.5", "4.50"]), _CELLS), max_size=6)
+    .map(",".join),
+)
+
+
+# The fixture study's config and results, as ``predict`` takes them.
+_STUDY = [str(REPO / "fixtures" / name) for name in ("clip_moulding.yaml", "clip_moulding_results.csv")]
+
+
+def _fixture_prediction() -> dict:
+    """The cycle-time prediction document that ``predict`` writes for the fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["predict", *_STUDY, "--response", "cycle_time"]) == 0
+    return json.loads(out.getvalue())
+
+
+_DOCUMENT_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**400),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(-1, 4), st.floats(), st.booleans()), max_size=5),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.floats(), st.text(max_size=3)), max_size=4),
+)
+
+
+@st.composite
+def _prediction_text(draw):
+    """The fixture prediction with keys dropped, replaced or added, as JSON, maybe cut short."""
+    data = _fixture_prediction()
+    for _ in range(draw(st.integers(0, 3))):
+        mappings = [m for m in (data, data.get("settings")) if isinstance(m, dict)]
+        mapping = draw(st.sampled_from(mappings))
+        action = draw(st.sampled_from(["drop", "replace", "add"]))
+        if action != "add" and mapping:
+            key = draw(st.sampled_from(sorted(mapping)))
+            if action == "drop":
+                del mapping[key]
+            else:
+                mapping[key] = draw(_DOCUMENT_VALUES)
+        else:
+            key = draw(st.sampled_from(["confirmation", "error_percent", "unit", "levels", "x"]))
+            mapping[key] = draw(_DOCUMENT_VALUES)
+    text = json.dumps(data, ensure_ascii=False)
+    if draw(st.integers(0, 5)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestPredictValidateTotalityProperty:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        response=st.one_of(st.sampled_from(["cycle_time", "shrinkage"]), st.text(max_size=8)),
+        levels=_LEVEL_LISTS,
+        form=st.sampled_from(["json", "text"]),
+    )
+    def test_predict_is_total(self, response, levels, form):
+        argv = ["predict", *_STUDY, f"--response={response}", f"--format={form}"]
+        if levels is not None:
+            argv.append(f"--levels={levels}")
+        _assert_total(argv, form == "json")
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        text=_prediction_text(),
+        confirmed=st.one_of(
+            st.floats(1e-3, 1e3).map(repr),
+            st.floats().map(repr),
+            st.sampled_from(["22.92", "0", "-0.0", "-1", "1e-320", "5e-324", "1e308", "1e999"]),
+        ),
+        form=st.sampled_from(["json", "text"]),
+    )
+    def test_validate_is_total(self, text, confirmed, form):
+        with tempfile.TemporaryDirectory() as scratch:
+            document = Path(scratch) / "prediction.json"
+            document.write_text(text, encoding="utf-8")
+            argv = ["validate", str(document), f"--confirmed={confirmed}", f"--format={form}"]
+            _assert_total(argv, form == "json")
 
 
 class TestLayoutInvariance:

@@ -13,6 +13,7 @@ from taguchikit.arrays import OrthogonalArray
 from taguchikit.design import Factor, bind
 from taguchikit.errors import (
     CombinationNotCoveredError,
+    IncompleteResultsError,
     InvalidLevelError,
     UnbalancedDesignError,
     UnknownResponseError,
@@ -51,17 +52,6 @@ class TestTableEvaluator:
         # run 9 differs in two positions; something at distance <= 2 must show up
         assert "(85, 230, 53, 3.5)" in message
 
-    def test_requires_response_name_for_multi_response_tables(self, table):
-        with pytest.raises(UnknownResponseError, match="several responses"):
-            table.evaluate(
-                {
-                    "mould_temperature": 80,
-                    "melt_temperature": 220,
-                    "injection_pressure": 58,
-                    "holding_time": 3.5,
-                }
-            )
-
     def test_unknown_response_rejected(self, table, clip_design):
         with pytest.raises(UnknownResponseError, match="warpage"):
             table.evaluate(clip_design.runs[0].settings, "warpage")
@@ -76,9 +66,13 @@ class TestTableEvaluator:
     def test_empty_table_says_it_holds_no_results(self, clip_design):
         empty = TableEvaluator.from_results(clip_design, [])
         with pytest.raises(CombinationNotCoveredError, match="^table holds no results$"):
-            empty.evaluate(clip_design.runs[0].settings)
-        with pytest.raises(CombinationNotCoveredError, match="^table holds no results$"):
             empty.evaluate(clip_design.runs[0].settings, "cycle_time")
+
+    def test_run_outside_the_design_is_refused(self, clip_design, clip_results):
+        extra = [*clip_results, RunResult(12, {"cycle_time": (1.0,)}), RunResult(10, {"y": (2.0,)})]
+        message = r"^results reference run number\(s\) not in the design: 10, 12$"
+        with pytest.raises(IncompleteResultsError, match=message):
+            TableEvaluator.from_results(clip_design, extra)
 
     def test_replicates_average_on_evaluate(self):
         array = OrthogonalArray("pair", (2,), ((0,), (1,)))
@@ -154,11 +148,6 @@ class TestSurrogate:
                     "holding_time": 3.5,
                 }
             )
-
-    def test_answers_only_its_own_response(self, clip_report):
-        surrogate = fit_surrogate(clip_report, "cycle_time")
-        with pytest.raises(UnknownResponseError, match="shrinkage"):
-            surrogate.evaluate(clip_report.design.runs[0].settings, "shrinkage")
 
 
 class TestSurrogateAgreesWithPrediction:
