@@ -50,16 +50,6 @@ class Objective(enum.Enum):
     LARGER_IS_BETTER = "larger-the-better"
     NOMINAL_IS_BEST = "nominal-the-best"
 
-    @classmethod
-    def from_string(cls, text: str) -> "Objective":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ConfigError(
-            f"unknown objective {text!r}; expected one of: "
-            + ", ".join(m.value for m in cls)
-        )
-
 
 @dataclass(frozen=True)
 class ResponseSpec:
@@ -137,7 +127,7 @@ def snr(
             if 0.0 in ys:
                 raise SingularityError("larger-the-better S/N undefined when any value is zero")
             msd = _mean([1.0 / (y * y) for y in ys])
-        elif objective is Objective.NOMINAL_IS_BEST:
+        else:  # nominal-the-best
             if target is None:
                 raise SingularityError("nominal-the-best S/N needs a target")
             msd = _mean([(y - target) ** 2 for y in ys])
@@ -145,8 +135,6 @@ def snr(
                 raise SingularityError(
                     "nominal-the-best S/N undefined when every value equals the target"
                 )
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unhandled objective {objective!r}")
     except (OverflowError, ZeroDivisionError):
         msd = math.inf
     if not 0.0 < msd < math.inf:
@@ -335,11 +323,7 @@ class AnalysisReport:
         return self.responses[_response_index(names, name)]
 
     def optimal_settings(self, name: str) -> dict[str, float]:
-        analysis = self.response(name)
-        return {
-            factor.name: factor.levels[level]
-            for factor, level in zip(self.design.factors, analysis.optimal_levels)
-        }
+        return predict_optimum(self, name).settings
 
 
 def analyze(

@@ -9,15 +9,16 @@ labels elsewhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from math import prod
 
 from taguchikit.errors import ArrayStructureError, CapacityError, UnknownArrayError
 
 __all__ = [
     "OrthogonalArray",
-    "BalanceViolation",
-    "PairCountViolation",
+    "Violation",
     "VerificationReport",
     "CATALOG_NAMES",
     "get_array",
@@ -74,29 +75,23 @@ class OrthogonalArray:
 
 
 @dataclass(frozen=True)
-class BalanceViolation:
-    """A level that does not appear the expected number of times in a column."""
+class Violation:
+    """A level tuple that appears the wrong number of times in a column group.
 
-    column: int
-    level: int
-    observed: int
-    expected: float
+    ``columns`` is ``(j,)`` for a column's balance and ``(j, k)`` for a pair
+    of columns; ``levels`` holds one level index per column.
+    """
 
-
-@dataclass(frozen=True)
-class PairCountViolation:
-    """An ordered level pair that appears the wrong number of times in a column pair."""
-
-    columns: tuple[int, int]
-    levels: tuple[int, int]
+    columns: tuple[int, ...]
+    levels: tuple[int, ...]
     observed: int
     expected: float
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    balance_violations: tuple[BalanceViolation, ...]
-    pair_violations: tuple[PairCountViolation, ...]
+    balance_violations: tuple[Violation, ...]
+    pair_violations: tuple[Violation, ...]
 
     @property
     def passed(self) -> bool:
@@ -104,44 +99,28 @@ class VerificationReport:
 
 
 def verify_orthogonality(array: OrthogonalArray) -> VerificationReport:
-    """Check column balance and strength-2 orthogonality.
+    """Check column balance and strength-2 orthogonality with one counting rule.
 
-    Balance: in column j every level index appears exactly
-    ``runs / levels_j`` times. Strength 2: for every pair of columns,
-    every ordered pair of levels appears exactly
-    ``runs / (levels_j * levels_k)`` times (vacuous for a single column).
+    In every single column and every pair of columns, each level tuple must
+    appear ``runs / (product of the group's level counts)`` times: balance is
+    strength 1, pairwise coverage strength 2 (vacuous for a single column).
+    Violations come column by column, then pair by pair, each in level order.
 
     A ragged matrix or an out-of-range cell is already rejected by the
     :class:`OrthogonalArray` constructor, so every array reaching this
     check can be counted.
     """
-    cells = array.cells
+    columns = tuple(zip(*array.cells))
     levels = array.levels_per_column
-
-    runs = len(cells)
-    balance: list[BalanceViolation] = []
-    for j, q in enumerate(levels):
-        expected = runs / q
-        counts = [0] * q
-        for row in cells:
-            counts[row[j]] += 1
-        for level, observed in enumerate(counts):
-            if observed != expected:
-                balance.append(BalanceViolation(j, level, observed, expected))
-
-    pairs: list[PairCountViolation] = []
-    for j, k in combinations(range(len(levels)), 2):
-        expected = runs / (levels[j] * levels[k])
-        counts: dict[tuple[int, int], int] = {}
-        for row in cells:
-            key = (row[j], row[k])
-            counts[key] = counts.get(key, 0) + 1
-        for a, b in product(range(levels[j]), range(levels[k])):
-            observed = counts.get((a, b), 0)
-            if observed != expected:
-                pairs.append(PairCountViolation((j, k), (a, b), observed, expected))
-
-    return VerificationReport(balance_violations=tuple(balance), pair_violations=tuple(pairs))
+    indices = range(len(levels))
+    found: dict[int, list[Violation]] = {1: [], 2: []}
+    for group in chain(combinations(indices, 1), combinations(indices, 2)):
+        counts = Counter(zip(*(columns[j] for j in group)))
+        expected = array.runs / prod(levels[j] for j in group)
+        for key in product(*(range(levels[j]) for j in group)):
+            if counts[key] != expected:
+                found[len(group)].append(Violation(group, key, counts[key], expected))
+    return VerificationReport(balance_violations=tuple(found[1]), pair_violations=tuple(found[2]))
 
 
 # --------------------------------------------------------------------------

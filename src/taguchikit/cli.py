@@ -130,10 +130,15 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
 
     responses = []
     for loc, item, name, unit in entries("responses", ("name", "unit", "objective", "target")):
+        value = item.get("objective", "")
         try:
-            objective = Objective.from_string(item.get("objective", ""))
-        except TaguchiKitError as exc:
-            raise fail(f"{loc}.objective", str(exc)) from None
+            objective = Objective(value)
+        except ValueError:
+            raise fail(
+                f"{loc}.objective",
+                f"unknown objective {value!r}; expected one of: "
+                + ", ".join(m.value for m in Objective),
+            ) from None
         target = item.get("target")
         if target is not None and not _is_number(target):
             raise fail(f"{loc}.target", "expected a number")
@@ -198,18 +203,22 @@ def build_design(config: ProjectConfig, array_override: str | None = None) -> tu
 
 
 def _write_output(path: str | None, text: str) -> None:
-    """Print to stdout, or atomically replace the target file."""
+    """Print to stdout, or atomically replace the target file.
+
+    The file gets the mode ``open(path, "w")`` would give it: an existing
+    target keeps its permission bits, a new one gets ``0o666`` less the umask.
+    """
     if path is None:
         sys.stdout.write(text)
         return
-    import tempfile  # here, so a command that prints to stdout does not import it
-
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name, suffix=".tmp")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(tmp, target)
+            if os.path.exists(path):
+                os.chmod(handle.fileno(), os.stat(path).st_mode & 0o777)
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -142,9 +142,10 @@ def _read_run_table(text: str, what: str) -> Iterator:
     number in every other cell. Errors name the row by its 1-based line
     number in the file.
     """
-    # A skipped line is read as an empty row, so the reader's line count stays the file's.
+    # A skipped line is read as an empty row, so the reader's line count stays the file's;
+    # each line keeps a break, so a quoted cell that spans lines keeps it too.
     reader = csv.reader(
-        line if line.strip() and not line.lstrip().startswith("#") else ""
+        line + "\n" if line.strip() and not line.lstrip().startswith("#") else "\n"
         for line in text.splitlines()
     )
     try:

@@ -114,7 +114,7 @@ def fit_surrogate(report: AnalysisReport, response: str) -> SurrogateEvaluator:
     analysis = report.response(response)
     violations = verify_orthogonality(report.design.array).balance_violations
     if violations:
-        broken = sorted({v.column + 1 for v in violations})
+        broken = sorted({v.columns[0] + 1 for v in violations})
         raise UnbalancedDesignError(
             "surrogate requires a balanced design; unbalanced column(s): "
             + ", ".join(map(str, broken))

@@ -281,6 +281,10 @@ class TestOptimalLevels:
         assert choices == (0, 0)
         assert ties == (0, 1)
 
+    def test_nominal_needs_a_target(self):
+        with pytest.raises(InvalidLevelError, match="^nominal-the-best optimal levels need a target$"):
+            optimal_levels([[1.0, 2.0]], Objective.NOMINAL_IS_BEST)
+
 
 class TestPredict:
     def test_cycle_time_optimum_value(self, clip_report):
@@ -440,6 +444,20 @@ class TestResultsCsv:
             read_results_csv("run,a,b\n1,2.0,3.0\n2,nan,abc\n")
         assert str(caught.value) == "row 3, column 'a': not a finite number: 'nan'"
 
+    def test_quoted_cell_keeps_its_line_break(self):
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv('run,a,b\n1,"2\n3",4\n')
+        assert str(caught.value) == "row 3, column 'a': not a number: '2\\n3'"
+
+    def test_header_without_response_columns(self):
+        with pytest.raises(ResultsFormatError, match="^results table has no response columns$"):
+            read_results_csv("run\n1\n")
+
+    def test_cell_beyond_the_csv_field_limit(self):
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv("run,a\n1," + "1" * 131073 + "\n")
+        assert str(caught.value) == "row 2: field larger than field limit (131072)"
+
 
 class TestInputs:
     def test_run_result_needs_replicates(self):
@@ -467,14 +485,7 @@ class TestSpecs:
         with pytest.raises(ValueError, match="target"):
             ResponseSpec("y", "", Objective.SMALLER_IS_BETTER, target=1.0)
 
-    def test_objective_parsing(self):
-        assert Objective.from_string("smaller-the-better") is Objective.SMALLER_IS_BETTER
-        with pytest.raises(ValueError, match="unknown objective"):
-            Objective.from_string("smallest")
-
     def test_spec_errors_are_config_errors(self):
-        with pytest.raises(ConfigError, match="unknown objective"):
-            Objective.from_string("smallest")
         with pytest.raises(ConfigError, match="non-empty"):
             ResponseSpec("", "", Objective.SMALLER_IS_BETTER)
         with pytest.raises(ConfigError, match="target"):

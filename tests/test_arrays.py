@@ -93,9 +93,9 @@ class TestVerify:
         report = verify_orthogonality(OrthogonalArray("L9-broken", l9.levels_per_column, rows))
         assert not report.passed and report.balance_violations
         observed = {
-            (v.level, v.observed) for v in report.balance_violations if v.column == 1
+            (v.levels, v.observed) for v in report.balance_violations if v.columns == (1,)
         }
-        assert (0, 2) in observed and (1, 4) in observed
+        assert ((0,), 2) in observed and ((1,), 4) in observed
 
     def test_single_column_passes_vacuously(self):
         report = verify_orthogonality(OrthogonalArray("single", (2,), ((0,), (1,), (0,), (1,))))

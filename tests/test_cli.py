@@ -126,6 +126,31 @@ class TestDesignCommand:
         assert target.read_text(encoding="utf-8").splitlines()[1] == "1,75,215,47,3.5"
         assert capsys.readouterr().out == ""
 
+    def test_out_file_gets_the_mode_of_a_plain_write(self, fixture_paths, tmp_path):
+        config, _ = fixture_paths
+        fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+        existing.write_text("old\n", encoding="utf-8")
+        existing.chmod(0o640)
+        previous = os.umask(0o022)
+        try:
+            assert main(["design", config, "--out", str(fresh)]) == 0
+            assert main(["design", config, "--out", str(existing)]) == 0
+        finally:
+            os.umask(previous)
+        assert fresh.stat().st_mode & 0o777 == 0o644
+        assert existing.stat().st_mode & 0o777 == 0o640
+        assert existing.read_text(encoding="utf-8") == fresh.read_text(encoding="utf-8")
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_out_naming_a_directory_fails_and_cleans_up(self, fixture_paths, tmp_path, capsys):
+        config, _ = fixture_paths
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert main(["design", config, "--out", str(target)]) == 2
+        assert str(target) in single_error(capsys)
+        assert target.is_dir() and list(target.iterdir()) == []
+        assert list(tmp_path.glob("*.tmp")) == []
+
 
 class TestAnalyzeCommand:
     def test_json_report_is_deterministic_and_frozen(self, fixture_paths, fixtures_dir, capsys):
@@ -179,6 +204,13 @@ class TestAnalyzeCommand:
         broken.write_text("run,cycle_time,shrinkage\n1,banana,2.2\n", encoding="utf-8")
         assert main(["analyze", config, str(broken)]) == 2
         assert "row 2, column 'cycle_time'" in capsys.readouterr().err
+
+    def test_quoted_cell_spanning_lines_is_one_error_line(self, fixture_paths, tmp_path, capsys):
+        config, _ = fixture_paths
+        broken = tmp_path / "spanning.csv"
+        broken.write_text('run,cycle_time,shrinkage\n1,"49.4\n161",2.2\n', encoding="utf-8")
+        assert main(["analyze", config, str(broken)]) == 2
+        assert single_error(capsys) == "error: row 3, column 'cycle_time': not a number: '49.4\\n161'"
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_is_rejected(self, fixture_paths, tmp_path, capsys, cell):
@@ -369,8 +401,33 @@ class TestConfigParsing:
             "responses:\n  - {name: y, unit: '', objective: tiny-the-better}\n",
             encoding="utf-8",
         )
-        with pytest.raises(ConfigError, match=r"responses\[0\]\.objective"):
+        with pytest.raises(ConfigError) as caught:
             load_config(bad)
+        assert str(caught.value) == (
+            f"{bad}: responses[0].objective: unknown objective 'tiny-the-better'; "
+            "expected one of: smaller-the-better, larger-the-better, nominal-the-best"
+        )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ("objective: nominal-the-best", "nominal-the-best needs a finite target"),
+            ("objective: smaller-the-better, target: 1", "target only applies to nominal-the-best"),
+        ],
+    )
+    def test_response_spec_error_names_the_entry(self, tmp_path, fields, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "array: L4\nfactors:\n"
+            "  - {name: a, unit: '', levels: [1, 2]}\n"
+            "  - {name: b, unit: '', levels: [1, 2]}\n"
+            "  - {name: c, unit: '', levels: [1, 2]}\n"
+            f"responses:\n  - {{name: cycle_time, unit: s, {fields}}}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError) as caught:
+            load_config(bad)
+        assert str(caught.value) == f"{bad}: responses[0]: response 'cycle_time': {message}"
 
     def test_precision_override_applies_to_text_report(self, fixtures_dir, tmp_path, capsys):
         config_text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")

@@ -83,6 +83,10 @@ class TestBind:
 
 
 class TestFactorValidation:
+    def test_needs_a_name(self):
+        with pytest.raises(BindError, match="^factor name must be non-empty$"):
+            Factor("", "", (1.0, 2.0))
+
     def test_needs_two_levels(self):
         with pytest.raises(BindError, match=">= 2 levels"):
             Factor("x", "", (1.0,))
@@ -150,3 +154,8 @@ class TestRunSheetCsv:
     def test_rows_are_numbered_by_file_line(self):
         with pytest.raises(ResultsFormatError, match=r"^row 4, column 'a': not a number: 'oops'$"):
             read_run_sheet("run,a\n# note\n\n1,oops\n")
+
+    def test_quoted_cell_keeps_its_line_break(self):
+        with pytest.raises(ResultsFormatError) as caught:
+            read_run_sheet('run,a,b\n1,"2\n3",4\n')
+        assert str(caught.value) == "row 3, column 'a': not a number: '2\\n3'"
