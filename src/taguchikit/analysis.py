@@ -162,15 +162,25 @@ def read_results_csv(
             raise ResultsFormatError(
                 f"results table lacks response column(s): {', '.join(missing)}"
             )
-    # Each run's rows laid end to end; response i is every len(responses)-th value from i.
-    flat: dict[int, list[float]] = {}
-    for number, values in table:
-        flat.setdefault(number, []).extend(values)
     width = len(responses)
+    # Each run's rows laid end to end; response i is every width-th value from i. Zipping
+    # one iterator over the values ``width`` times cuts them into rows.
+    flat: dict[int, list[float]] = {}
+    for numbers, values in table:
+        for number, row in zip(numbers, zip(*[iter(values)] * width)):
+            flat.setdefault(number, []).extend(row)
     return tuple(
-        RunResult(number, {name: flat[number][i::width] for i, name in enumerate(responses)})
-        for number in sorted(flat)
+        _read_result(number, {name: tuple(ys[i::width]) for i, name in enumerate(responses)})
+        for number, ys in sorted(flat.items())
     )
+
+
+def _read_result(run_number: int, values: dict[str, tuple[float, ...]]) -> RunResult:
+    """A ``RunResult`` without ``__post_init__``: the reader has converted and checked each value."""
+    result = object.__new__(RunResult)
+    object.__setattr__(result, "run_number", run_number)
+    object.__setattr__(result, "values", values)
+    return result
 
 
 def _row_replicates(design: Design, results: Iterable[RunResult]) -> list[dict[str, list[float]]]:

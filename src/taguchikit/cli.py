@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from taguchikit import reporting
 from taguchikit.analysis import (
     AnalysisReport,
@@ -59,28 +57,30 @@ def _read_input(path: str | Path, what: str) -> str:
 _C_YAML_LIMIT = 4096
 
 
-def _load_yaml(text: str):
+def _load_yaml(text: str, where: str):
     """``yaml.safe_load``, through libyaml when it is installed and the text is small.
 
     A text libyaml rejects is parsed again by the pure-Python loader, so the
-    error names the same position as without libyaml.
+    error names the same position as without libyaml. PyYAML is imported
+    here, so ``validate``, which reads no config, never loads it.
     """
+    import yaml
+
     loader = getattr(yaml, "CSafeLoader", None)
-    if loader is not None and len(text) <= _C_YAML_LIMIT:
-        try:
-            return yaml.load(text, Loader=loader)
-        except yaml.YAMLError:
-            pass
-    return yaml.safe_load(text)
+    try:
+        if loader is not None and len(text) <= _C_YAML_LIMIT:
+            try:
+                return yaml.load(text, Loader=loader)
+            except yaml.YAMLError:
+                pass
+        return yaml.safe_load(text)
+    except (yaml.YAMLError, RecursionError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config(path: str | Path) -> ProjectConfig:
     path = Path(path)
-    text = _read_input(path, "config")
-    try:
-        data = _load_yaml(text)
-    except (yaml.YAMLError, RecursionError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    data = _load_yaml(_read_input(path, "config"), str(path))
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return _parse_config(data, str(path))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 from taguchikit.arrays import OrthogonalArray
@@ -130,11 +132,25 @@ def read_run_sheet(text: str) -> tuple[Run, ...]:
     """
     table = _read_run_table(text, "run sheet")
     names = [_strip_unit(h) for h in next(table)[1:]]
-    return tuple(Run(number, dict(zip(names, values))) for number, values in table)
+    width = len(names)
+    return tuple(
+        Run(number, dict(zip(names, values[i * width : (i + 1) * width])))
+        for numbers, values in table
+        for i, number in enumerate(numbers)
+    )
+
+
+# A text with any of these goes through ``_data_lines``. ``#`` may start a comment.
+# ``"`` may open a quoted cell: csv keeps the breaks of the lines inside it as they
+# are, and a quoted cell of blanks reads like a blank line. The rest are line breaks
+# that ``str.splitlines`` knows and csv does not.
+_FILTERED = ("#", '"', "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 def _read_run_table(text: str, what: str) -> Iterator:
-    """Read a ``run,<column>,...`` CSV table: yield its header, then ``(run, values)`` per row.
+    """Read a ``run,<column>,...`` CSV table: yield its header, then ``(numbers, values)``
+    for one or more rows at a time: each row's run number, and the rows' other cells
+    as one row-major list.
 
     Blank lines and lines starting with ``#`` are skipped. The header must
     start with ``run`` and name each column once; each row must be as wide
@@ -142,15 +158,23 @@ def _read_run_table(text: str, what: str) -> Iterator:
     number in every other cell. Errors name the row by its 1-based line
     number in the file.
     """
-    # A skipped line is read as an empty row, so the reader's line count stays the file's;
-    # each line keeps a break, so a quoted cell that spans lines keeps it too.
-    reader = csv.reader(
-        line + "\n" if line.strip() and not line.lstrip().startswith("#") else "\n"
-        for line in text.splitlines()
-    )
+    direct = not any(c in text for c in _FILTERED)
+
+    def rows() -> Iterator[list[str]]:
+        if not direct:
+            return csv.reader(_data_lines(text))
+        # Lines decoded on demand from one byte copy are never all in memory at once.
+        data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+        return csv.reader(io.TextIOWrapper(data, "utf-8", "surrogatepass", newline=""))
+
+    def blank(row: list[str]) -> bool:
+        # Read directly, a blank line is an empty row or one cell of whitespace.
+        return not row or (direct and len(row) == 1 and not row[0].strip())
+
+    reader = rows()
     try:
         for row in reader:
-            if row:
+            if not blank(row):
                 header = [h.strip() for h in row]
                 break
         else:
@@ -161,33 +185,99 @@ def _read_run_table(text: str, what: str) -> Iterator:
         if repeated:
             raise ResultsFormatError(f"{what} repeats column(s): {', '.join(repeated)}")
         yield header
-        names = header[1:]
+        width = len(header)
+        done = reader.line_num
+        try:
+            for batch in _plain_batches(reader, width):
+                yield batch
+                done = reader.line_num
+            return
+        except (ValueError, csv.Error):
+            pass
+        # A row after line ``done`` is not plain: read on from there one row at a
+        # time, so that the first fault is named with its line, and a whitespace
+        # line is skipped.
+        reader = rows()
         for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
+            if reader.line_num == done:
+                break
+        for row in reader:
+            if len(row) != width:
+                if blank(row):
+                    continue
                 raise ResultsFormatError(
-                    f"row {reader.line_num}: expected {len(header)} cells, got {len(row)}"
+                    f"row {reader.line_num}: expected {width} cells, got {len(row)}"
                 )
             try:
                 number = int(row[0])
             except ValueError:
+                if blank(row):  # a table of the run column alone
+                    continue
                 raise ResultsFormatError(
                     f"row {reader.line_num}, column 'run': not an integer: {row[0]!r}"
                 ) from None
-            try:
-                values = list(map(float, row[1:]))
-            except ValueError:
-                values = None
-            if values is None or not all(map(math.isfinite, values)):
-                _check_cells(names, row[1:], reader.line_num)
-            yield number, values
+            yield [number], _cell_values(header[1:], row[1:], reader.line_num)
     except csv.Error as exc:
         raise ResultsFormatError(f"row {reader.line_num}: {exc}") from None
 
 
-def _check_cells(names: Sequence[str], cells: Sequence[str], line: int) -> None:
-    """Raise for the first cell of a row that is not a finite number, naming its column."""
+def _plain_batches(
+    reader: Iterator[list[str]], width: int
+) -> Iterator[tuple[list[int], list[float]]]:
+    """Rows in batches, each converted in bulk: its run numbers and row-major values.
+
+    A plain row is as wide as the header, starts with an integer and holds
+    finite numbers; empty rows are skipped. Raises ``ValueError`` (or
+    ``csv.Error``) at the first batch with any other row, which leaves the
+    diagnosis to the row-by-row read.
+    """
+    nonempty = filter(None, reader)
+    while batch := list(islice(nonempty, 256)):
+        if any(len(row) != width for row in batch):
+            raise ValueError("a row of another width")
+        cells = list(chain.from_iterable(batch))
+        numbers = list(map(int, cells[::width]))
+        del cells[::width]
+        values = list(map(float, cells))
+        # A finite sum has only finite terms.
+        if not math.isfinite(sum(values)):
+            raise ValueError("a value that is not finite, or a sum that overflows")
+        yield numbers, values
+
+
+def _data_lines(text: str) -> Iterator[str]:
+    """The lines of a table as csv reads them, with comments and blank lines emptied.
+
+    A skipped line becomes an empty line, so the reader's line count stays the
+    file's; each kept line ends in ``\\n``, so a quoted cell that spans lines
+    keeps its breaks. A line inside a quoted cell is kept whole: it is never a
+    comment and never blank.
+    """
+    quoted = False
+    for line in text.splitlines():
+        if quoted or (line.strip() and not line.lstrip().startswith("#")):
+            yield line + "\n"
+            if '"' in line:
+                # Inside a quoted cell, a line reads on as if after the cell's opening quote.
+                quoted = _ends_in_quoted_cell('"' + line if quoted else line)
+        else:
+            yield "\n"
+
+
+# As csv reads quotes: a cell that starts with ``"`` is quoted up to the next ``"``
+# that is not doubled; anywhere else ``"`` is an ordinary character.
+_CLOSED_QUOTED_CELL = r'(^|,)"(?:[^"]|"")*"(?!")'
+_OPENING_QUOTE = r'(^|,)"'
+
+
+def _ends_in_quoted_cell(line: str) -> bool:
+    """Whether csv, reading ``line`` from the start of a row, ends it inside a quoted cell."""
+    return re.search(_OPENING_QUOTE, re.sub(_CLOSED_QUOTED_CELL, r"\1", line)) is not None
+
+
+def _cell_values(names: Sequence[str], cells: Sequence[str], line: int) -> list[float]:
+    """A row's cells as finite numbers; raises for the first that is not, naming its column."""
+    values = []
     for name, cell in zip(names, cells):
         try:
             value = float(cell)
@@ -197,6 +287,8 @@ def _check_cells(names: Sequence[str], cells: Sequence[str], line: int) -> None:
             ) from None
         if not math.isfinite(value):
             raise ResultsFormatError(f"row {line}, column {name!r}: not a finite number: {cell!r}")
+        values.append(value)
+    return values
 
 
 def _strip_unit(label: str) -> str:

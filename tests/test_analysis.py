@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from pathlib import Path
 from statistics import fmean
 
 import pytest
@@ -36,6 +38,8 @@ from taguchikit.errors import (
 from taguchikit.evaluators import TableEvaluator
 from taguchikit.formatting import fixed_value
 from taguchikit.reporting import report_to_json
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 # Recorded simulation responses for the clip study, in run order. Typed
 # here independently of the fixture CSV so oracle sums do not share a
@@ -449,6 +453,69 @@ class TestResultsCsv:
             read_results_csv('run,a,b\n1,"2\n3",4\n')
         assert str(caught.value) == "row 3, column 'a': not a number: '2\\n3'"
 
+    @pytest.mark.parametrize("cell", ["2\n#x\n", "x\n  \n"])
+    def test_line_inside_a_quoted_cell_is_part_of_the_cell(self, cell):
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv(f'run,a,b\n1,"{cell}",4\n')
+        assert str(caught.value) == f"row 4, column 'a': not a number: {cell!r}"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_blank_line_inside_a_quoted_cell_stays_in_the_cell(self, newline):
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv(f'run,a,b{newline}1,"x{newline}{newline}y",4{newline}')
+        assert str(caught.value) == "row 4, column 'a': not a number: 'x\\n\\ny'"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_every_line_ending_numbers_rows_alike(self, newline):
+        text = newline.join(["run,a,b", "1,2,3", "", "  ", "2,x,3", ""])
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv(text)
+        assert str(caught.value) == "row 5, column 'a': not a number: 'x'"
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028"])
+    def test_form_feed_and_line_separator_end_a_row(self, separator):
+        results = read_results_csv(f"run,a\n1,2{separator}1,4\n")
+        assert results == (RunResult(1, {"a": (2.0, 4.0)}),)
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv(f"run,a,b\n1,2,3{separator}2,x,3\n")
+        assert str(caught.value) == "row 3, column 'a': not a number: 'x'"
+
+    def test_whitespace_lines_and_blank_lines_before_the_header_are_skipped(self):
+        text = "\n \t\nrun,a,b\n1,2,3\n   \n\n1,4,5\n"
+        assert read_results_csv(text) == (RunResult(1, {"a": (2.0, 4.0), "b": (3.0, 5.0)}),)
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv(text + " \n2,x,1\n")
+        assert str(caught.value) == "row 9, column 'a': not a number: 'x'"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_a_long_table_reads_alike_on_every_path(self, newline):
+        # 3,000 rows span several batches of rows and several chunks of decoded text.
+        rows = [f"{1 + i % 9},{i}.25,{i % 7}" for i in range(3000)]
+        plain = newline.join(["run,a,b", *rows]) + newline
+        spaced = plain.replace(newline + "2,1000.25,", newline + "  " + newline + "2,1000.25,")
+        results = read_results_csv(plain)
+        assert [len(result.values["a"]) for result in results] == [334] * 3 + [333] * 6
+        assert read_results_csv(spaced) == read_results_csv(plain + "# note" + newline) == results
+        for text, line in ((plain, 2804), (plain + "# note" + newline, 2804), (spaced, 2805)):
+            with pytest.raises(ResultsFormatError) as caught:
+                read_results_csv(text.replace(newline + "4,2802.25,", newline + "4,x,"))
+            assert str(caught.value) == f"row {line}, column 'a': not a number: 'x'"
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_read_results_equal_constructed_ones(self, fixtures_dir, split):
+        text = (fixtures_dir / "clip_moulding_results.csv").read_text(encoding="utf-8")
+        if split:  # every run a second time, with other values, in reverse order
+            header, *rows = text.splitlines()
+            text = "\n".join([header, *rows, *(row + "5" for row in reversed(rows))])
+        results = read_results_csv(text)
+        assert len(results) == 9
+        for result in results:
+            built = RunResult(result.run_number, dict(result.values))
+            assert result == built and repr(result) == repr(built)
+            assert all(len(ys) == 1 + split for ys in result.values.values())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                result.run_number = 0
+
     def test_header_without_response_columns(self):
         with pytest.raises(ResultsFormatError, match="^results table has no response columns$"):
             read_results_csv("run\n1\n")
@@ -457,6 +524,42 @@ class TestResultsCsv:
         with pytest.raises(ResultsFormatError) as caught:
             read_results_csv("run,a\n1," + "1" * 131073 + "\n")
         assert str(caught.value) == "row 2: field larger than field limit (131072)"
+
+
+_RESULT_CELLS = st.sampled_from(["x", "", "  ", "nan", "-inf", "1e999", " 2.5 ", '"3.5"', "4,5"])
+_RESULT_LINES = st.sampled_from(["", "   ", "\t", "1,49.4161,2.2", "10,1,1", "run", "2,3"])
+
+
+@st.composite
+def _results_text(draw):
+    """The fixture results with cells replaced and lines inserted, in one line ending."""
+    text = (FIXTURES / "clip_moulding_results.csv").read_text(encoding="utf-8")
+    rows = [line.split(",") for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 2))] = draw(_RESULT_CELLS)
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_RESULT_LINES))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _read_or_error(text: str):
+    try:
+        return read_results_csv(text)
+    except ResultsFormatError as exc:
+        return str(exc)
+
+
+class TestReadRoutesProperty:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(text=_results_text())
+    def test_a_trailing_comment_or_whitespace_line_changes_nothing(self, text):
+        # A ``#`` line sends a text through the line filter, and a line of whitespace
+        # sends a text read directly through the row-by-row read.
+        expected = _read_or_error(text)
+        assert _read_or_error(text + "\n# note\n") == expected
+        assert _read_or_error(text + "\n \t\n") == expected
 
 
 class TestInputs:

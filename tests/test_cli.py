@@ -212,6 +212,18 @@ class TestAnalyzeCommand:
         assert main(["analyze", config, str(broken)]) == 2
         assert single_error(capsys) == "error: row 3, column 'cycle_time': not a number: '49.4\\n161'"
 
+    def test_comment_line_inside_a_quoted_cell_is_part_of_the_cell(
+        self, fixture_paths, tmp_path, capsys
+    ):
+        config, results = fixture_paths
+        text = Path(results).read_text(encoding="utf-8").replace("49.4161", '"49.4161\n# x\n"')
+        broken = tmp_path / "commented.csv"
+        broken.write_text(text, encoding="utf-8")
+        assert main(["analyze", config, str(broken)]) == 2
+        assert single_error(capsys) == (
+            "error: row 4, column 'cycle_time': not a number: '49.4161\\n# x\\n'"
+        )
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_is_rejected(self, fixture_paths, tmp_path, capsys, cell):
         config, results = fixture_paths

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import csv
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taguchikit.arrays import get_array
-from taguchikit.design import Factor, bind, export_run_sheet, read_run_sheet
+from taguchikit.design import (
+    Factor,
+    Run,
+    _ends_in_quoted_cell,
+    bind,
+    export_run_sheet,
+    read_run_sheet,
+)
 from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
 
 # As originally published the pressure column is in bar; the analysis
@@ -159,3 +169,25 @@ class TestRunSheetCsv:
         with pytest.raises(ResultsFormatError) as caught:
             read_run_sheet('run,a,b\n1,"2\n3",4\n')
         assert str(caught.value) == "row 3, column 'a': not a number: '2\\n3'"
+
+    def test_comment_line_inside_a_quoted_cell_is_part_of_the_cell(self):
+        with pytest.raises(ResultsFormatError) as caught:
+            read_run_sheet('run,a,b\n1,"2\n#x\n",4\n')
+        assert str(caught.value) == "row 4, column 'a': not a number: '2\\n#x\\n'"
+
+    def test_quote_inside_an_unquoted_cell_opens_no_quoted_cell(self):
+        assert read_run_sheet('run,a"\n# note\n1,2\n') == (Run(1, {'a"': 2.0}),)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(line=st.text('",a ', max_size=10), quoted=st.booleans())
+    def test_quoted_cell_tracking_agrees_with_csv(self, line, quoted):
+        before = ['"x\n'] if quoted else []
+        reader = csv.reader([*before, line + "\n", "z\n"])
+        next(reader)
+        in_quotes = reader.line_num > len(before) + 1
+        assert _ends_in_quoted_cell('"' + line if quoted else line) == in_quotes
+
+    def test_whitespace_line_in_a_sheet_of_runs_alone_is_skipped(self):
+        assert read_run_sheet("run\n1\n  \n2\n") == (Run(1, {}), Run(2, {}))
+        with pytest.raises(ResultsFormatError, match=r"^row 2, column 'run': not an integer: '  '$"):
+            read_run_sheet('run\n"  "\n')

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import taguchikit
+from taguchikit.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -29,8 +30,8 @@ def test_star_import_binds_every_name():
     assert len(namespace) == 30
 
 
-def test_cli_import_does_not_load_the_evaluators():
-    code = "import sys, taguchikit.cli; print('taguchikit.evaluators' in sys.modules)"
+def _run_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports the package from ``src``."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     completed = subprocess.run(
         [sys.executable, "-c", code],
@@ -40,4 +41,22 @@ def test_cli_import_does_not_load_the_evaluators():
         timeout=60,
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout == "False\n"
+    return completed.stdout
+
+
+def test_cli_import_does_not_load_the_evaluators():
+    code = "import sys, taguchikit.cli; print('taguchikit.evaluators' in sys.modules)"
+    assert _run_python(code) == "False\n"
+
+
+def test_validate_does_not_load_yaml(tmp_path):
+    prediction = tmp_path / "prediction.json"
+    study = [REPO / "fixtures" / name for name in ("clip_moulding.yaml", "clip_moulding_results.csv")]
+    argv = ["predict", *map(str, study), "--response", "cycle_time", "--out", str(prediction)]
+    assert main(argv) == 0
+    code = (
+        "import sys; from taguchikit.cli import main; "
+        f"code = main(['validate', {str(prediction)!r}, '--confirmed', '22.92']); "
+        "print(code, 'yaml' in sys.modules)"
+    )
+    assert _run_python(code).splitlines()[-1] == "0 False"
