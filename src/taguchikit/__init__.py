@@ -39,7 +39,6 @@ _EXPORTS = {
     "predict_optimum": "analysis",
     "rank_factors": "analysis",
     "read_results_csv": "analysis",
-    "read_run_sheet": "design",
     "select_array": "arrays",
     "snr": "analysis",
     "validate": "analysis",

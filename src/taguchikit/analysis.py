@@ -149,10 +149,12 @@ def read_results_csv(
     """Parse a results table: header ``run,<response>,...``, one row per run.
 
     Repeated rows for the same run number are treated as replicates and
-    appended in file order. Bad cells are reported with their row number
-    and column name; the row number is the line number in the file.
+    appended in file order. Each line is one row: blank lines and lines
+    starting with ``#`` are skipped, and a quoted cell may not span lines.
+    Bad cells are reported with their row number and column name; the row
+    number is the line number in the file.
     """
-    table = _read_run_table(text, "results table")
+    table = _read_run_table(text)
     responses = next(table)[1:]
     if not responses:
         raise ResultsFormatError("results table has no response columns")

@@ -1,20 +1,20 @@
-"""Bind physical factors to array columns and produce concrete run sheets."""
+"""Bind physical factors to array columns, produce concrete run sheets, and read run tables."""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
-import re
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterator, Sequence
 
 from taguchikit.arrays import OrthogonalArray
 from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
 from taguchikit.formatting import number_label
 
-__all__ = ["Factor", "Run", "Design", "bind", "export_run_sheet", "read_run_sheet"]
+__all__ = ["Factor", "Run", "Design", "bind", "export_run_sheet"]
 
 
 @dataclass(frozen=True)
@@ -124,174 +124,131 @@ def export_run_sheet(design: Design) -> str:
     return buf.getvalue()
 
 
-def read_run_sheet(text: str) -> tuple[Run, ...]:
-    """Parse a run-sheet CSV back into runs (inverse of :func:`export_run_sheet`).
-
-    Lines starting with ``#`` are ignored so annotated exports round-trip.
-    Header units in parentheses are stripped from the factor names.
-    """
-    table = _read_run_table(text, "run sheet")
-    names = [_strip_unit(h) for h in next(table)[1:]]
-    width = len(names)
-    return tuple(
-        Run(number, dict(zip(names, values[i * width : (i + 1) * width])))
-        for numbers, values in table
-        for i, number in enumerate(numbers)
-    )
+# A table is read this many lines at a time, split from slices of about this many
+# characters, so that only one batch of lines and cells exists at a time.
+_BATCH_LINES = 1024
+_SLICE_CHARS = 1 << 16
 
 
-# A text with any of these goes through ``_data_lines``. ``#`` may start a comment.
-# ``"`` may open a quoted cell: csv keeps the breaks of the lines inside it as they
-# are, and a quoted cell of blanks reads like a blank line. The rest are line breaks
-# that ``str.splitlines`` knows and csv does not.
-_FILTERED = ("#", '"', "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
-
-
-def _read_run_table(text: str, what: str) -> Iterator:
+def _read_run_table(text: str) -> Iterator:
     """Read a ``run,<column>,...`` CSV table: yield its header, then ``(numbers, values)``
     for one or more rows at a time: each row's run number, and the rows' other cells
     as one row-major list.
 
-    Blank lines and lines starting with ``#`` are skipped. The header must
-    start with ``run`` and name each column once; each row must be as wide
-    as the header, start with an integer run number and carry a finite
-    number in every other cell. Errors name the row by its 1-based line
-    number in the file.
+    Each line, as ``str.splitlines`` cuts them, is one row, so a quoted cell may
+    not span lines. Blank lines and lines starting with ``#`` are skipped. The
+    header must start with ``run`` and name each column once; each row must be
+    as wide as the header, start with an integer run number and carry a finite
+    number in every other cell. Errors name the row by its 1-based line number
+    in the file.
     """
-    direct = not any(c in text for c in _FILTERED)
-
-    def rows() -> Iterator[list[str]]:
-        if not direct:
-            return csv.reader(_data_lines(text))
-        # Lines decoded on demand from one byte copy are never all in memory at once.
-        data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-        return csv.reader(io.TextIOWrapper(data, "utf-8", "surrogatepass", newline=""))
-
-    def blank(row: list[str]) -> bool:
-        # Read directly, a blank line is an empty row or one cell of whitespace.
-        return not row or (direct and len(row) == 1 and not row[0].strip())
-
-    reader = rows()
-    try:
-        for row in reader:
-            if not blank(row):
-                header = [h.strip() for h in row]
-                break
-        else:
-            raise ResultsFormatError(f"{what} is empty")
-        if header[0] != "run":
-            raise ResultsFormatError(f"{what} must start with a 'run' column")
-        repeated = sorted({h for h in header if header.count(h) > 1})
-        if repeated:
-            raise ResultsFormatError(f"{what} repeats column(s): {', '.join(repeated)}")
-        yield header
-        width = len(header)
-        done = reader.line_num
+    lines = chain.from_iterable(map(str.splitlines, _slices(text)))
+    for done, line in enumerate(lines, 1):
+        if _holds_data(line):
+            header = [h.strip() for h in _cells(line, done)]
+            break
+    else:
+        raise ResultsFormatError("results table is empty")
+    if header[0] != "run":
+        raise ResultsFormatError("results table must start with a 'run' column")
+    repeated = sorted(h for h, count in Counter(header).items() if count > 1)
+    if repeated:
+        raise ResultsFormatError(f"results table repeats column(s): {', '.join(repeated)}")
+    yield header
+    while batch := list(islice(lines, _BATCH_LINES)):
         try:
-            for batch in _plain_batches(reader, width):
-                yield batch
-                done = reader.line_num
-            return
-        except (ValueError, csv.Error):
-            pass
-        # A row after line ``done`` is not plain: read on from there one row at a
-        # time, so that the first fault is named with its line, and a whitespace
-        # line is skipped.
-        reader = rows()
-        for row in reader:
-            if reader.line_num == done:
-                break
-        for row in reader:
-            if len(row) != width:
-                if blank(row):
-                    continue
-                raise ResultsFormatError(
-                    f"row {reader.line_num}: expected {width} cells, got {len(row)}"
-                )
-            try:
-                number = int(row[0])
-            except ValueError:
-                if blank(row):  # a table of the run column alone
-                    continue
-                raise ResultsFormatError(
-                    f"row {reader.line_num}, column 'run': not an integer: {row[0]!r}"
-                ) from None
-            yield [number], _cell_values(header[1:], row[1:], reader.line_num)
-    except csv.Error as exc:
-        raise ResultsFormatError(f"row {reader.line_num}: {exc}") from None
+            rows = _plain_rows(batch, len(header))
+        except ValueError:
+            rows = _checked_rows(batch, done, header)
+        yield rows
+        done += len(batch)
 
 
-def _plain_batches(
-    reader: Iterator[list[str]], width: int
-) -> Iterator[tuple[list[int], list[float]]]:
-    """Rows in batches, each converted in bulk: its run numbers and row-major values.
+def _slices(text: str) -> Iterator[str]:
+    """``text`` cut just after a ``\\n`` every ``_SLICE_CHARS`` characters or so.
 
-    A plain row is as wide as the header, starts with an integer and holds
-    finite numbers; empty rows are skipped. Raises ``ValueError`` (or
-    ``csv.Error``) at the first batch with any other row, which leaves the
-    diagnosis to the row-by-row read.
+    ``str.splitlines`` splits the slices into the text's lines; a text
+    without ``\\n`` is one slice.
     """
-    nonempty = filter(None, reader)
-    while batch := list(islice(nonempty, 256)):
-        if any(len(row) != width for row in batch):
-            raise ValueError("a row of another width")
-        cells = list(chain.from_iterable(batch))
-        numbers = list(map(int, cells[::width]))
-        del cells[::width]
-        values = list(map(float, cells))
-        # A finite sum has only finite terms.
-        if not math.isfinite(sum(values)):
-            raise ValueError("a value that is not finite, or a sum that overflows")
-        yield numbers, values
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
-def _data_lines(text: str) -> Iterator[str]:
-    """The lines of a table as csv reads them, with comments and blank lines emptied.
+def _holds_data(line: str) -> bool:
+    """Whether a line is a row: blank lines and lines starting with ``#`` are not."""
+    return line.lstrip()[:1] not in ("", "#")
 
-    A skipped line becomes an empty line, so the reader's line count stays the
-    file's; each kept line ends in ``\\n``, so a quoted cell that spans lines
-    keeps its breaks. A line inside a quoted cell is kept whole: it is never a
-    comment and never blank.
+
+def _plain_rows(lines: list[str], width: int) -> tuple[list[int], list[float]]:
+    """Lines converted in bulk: their run numbers, and their other cells as row-major values.
+
+    Every line must be a plain row: ``width`` cells split at commas, no longer
+    than csv's field limit, an integer first and finite numbers after. A quote,
+    a comment or a blank line fails these. Raises ``ValueError`` at any other
+    line, which leaves skipping and diagnosis to ``_checked_rows``.
     """
-    quoted = False
-    for line in text.splitlines():
-        if quoted or (line.strip() and not line.lstrip().startswith("#")):
-            yield line + "\n"
-            if '"' in line:
-                # Inside a quoted cell, a line reads on as if after the cell's opening quote.
-                quoted = _ends_in_quoted_cell('"' + line if quoted else line)
-        else:
-            yield "\n"
+    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
+        raise ValueError("a line of another width")
+    if max(map(len, lines)) > csv.field_size_limit():
+        raise ValueError("a line that may hold a cell beyond the csv field limit")
+    cells = ",".join(lines).split(",")
+    numbers = list(map(int, cells[::width]))
+    del cells[::width]
+    values = list(map(float, cells))
+    # A finite sum has only finite terms.
+    if not math.isfinite(sum(values)):
+        raise ValueError("a value that is not finite, or a sum that overflows")
+    return numbers, values
 
 
-# As csv reads quotes: a cell that starts with ``"`` is quoted up to the next ``"``
-# that is not doubled; anywhere else ``"`` is an ordinary character.
-_CLOSED_QUOTED_CELL = r'(^|,)"(?:[^"]|"")*"(?!")'
-_OPENING_QUOTE = r'(^|,)"'
-
-
-def _ends_in_quoted_cell(line: str) -> bool:
-    """Whether csv, reading ``line`` from the start of a row, ends it inside a quoted cell."""
-    return re.search(_OPENING_QUOTE, re.sub(_CLOSED_QUOTED_CELL, r"\1", line)) is not None
-
-
-def _cell_values(names: Sequence[str], cells: Sequence[str], line: int) -> list[float]:
-    """A row's cells as finite numbers; raises for the first that is not, naming its column."""
-    values = []
-    for name, cell in zip(names, cells):
+def _checked_rows(lines: list[str], done: int, header: list[str]) -> tuple[list[int], list[float]]:
+    """``_plain_rows`` one line at a time, after ``done`` lines of the file: blank and
+    ``#`` lines are skipped, and the first fault is raised, naming its line and column.
+    """
+    numbers: list[int] = []
+    values: list[float] = []
+    for line_number, line in enumerate(lines, done + 1):
+        if not _holds_data(line):
+            continue
+        row = _cells(line, line_number)
+        if len(row) != len(header):
+            raise ResultsFormatError(
+                f"row {line_number}: expected {len(header)} cells, got {len(row)}"
+            )
         try:
-            value = float(cell)
+            numbers.append(int(row[0]))
         except ValueError:
             raise ResultsFormatError(
-                f"row {line}, column {name!r}: not a number: {cell!r}"
+                f"row {line_number}, column 'run': not an integer: {row[0]!r}"
             ) from None
-        if not math.isfinite(value):
-            raise ResultsFormatError(f"row {line}, column {name!r}: not a finite number: {cell!r}")
-        values.append(value)
-    return values
+        for name, cell in zip(header[1:], row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ResultsFormatError(
+                    f"row {line_number}, column {name!r}: not a number: {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ResultsFormatError(
+                    f"row {line_number}, column {name!r}: not a finite number: {cell!r}"
+                )
+            values.append(value)
+    return numbers, values
 
 
-def _strip_unit(label: str) -> str:
-    if label.endswith(")") and "(" in label:
-        return label[: label.rindex("(")].rstrip()
-    return label
+def _cells(line: str, line_number: int) -> list[str]:
+    """A line's cells as non-strict csv reads them; a quoted cell must close on the line."""
+    if '"' not in line and len(line) <= csv.field_size_limit():
+        return line.split(",")
+    # A quoted cell left open reads on into the second, empty line.
+    reader = csv.reader((line, ""))
+    try:
+        cells = next(reader)
+    except csv.Error as exc:
+        raise ResultsFormatError(f"row {line_number}: {exc}") from None
+    if reader.line_num > 1:
+        raise ResultsFormatError(f"row {line_number}: a quoted cell may not span lines")
+    return cells

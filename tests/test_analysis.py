@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
+import re
 from pathlib import Path
 from statistics import fmean
 
@@ -448,22 +450,61 @@ class TestResultsCsv:
             read_results_csv("run,a,b\n1,2.0,3.0\n2,nan,abc\n")
         assert str(caught.value) == "row 3, column 'a': not a finite number: 'nan'"
 
+    # Each line is one row: a quoted cell that does not close on its line is an
+    # error named by the line it opens on, whatever the following lines hold.
+    _SPANNING = "row 2: a quoted cell may not span lines"
+
     def test_quoted_cell_keeps_its_line_break(self):
         with pytest.raises(ResultsFormatError) as caught:
             read_results_csv('run,a,b\n1,"2\n3",4\n')
-        assert str(caught.value) == "row 3, column 'a': not a number: '2\\n3'"
+        assert str(caught.value) == self._SPANNING
 
     @pytest.mark.parametrize("cell", ["2\n#x\n", "x\n  \n"])
     def test_line_inside_a_quoted_cell_is_part_of_the_cell(self, cell):
         with pytest.raises(ResultsFormatError) as caught:
             read_results_csv(f'run,a,b\n1,"{cell}",4\n')
-        assert str(caught.value) == f"row 4, column 'a': not a number: {cell!r}"
+        assert str(caught.value) == self._SPANNING
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_blank_line_inside_a_quoted_cell_stays_in_the_cell(self, newline):
         with pytest.raises(ResultsFormatError) as caught:
             read_results_csv(f'run,a,b{newline}1,"x{newline}{newline}y",4{newline}')
-        assert str(caught.value) == "row 4, column 'a': not a number: 'x\\n\\ny'"
+        assert str(caught.value) == self._SPANNING
+
+    @pytest.mark.parametrize("text", ['run,a\n1,"2\n"\n', 'run,a\n1,"\n2"\n'])
+    def test_number_split_by_a_quoted_line_break_is_refused(self, text):
+        # float() would strip the break at either end of the cell and read 2.0.
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv(text)
+        assert str(caught.value) == self._SPANNING
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028", "\r"])
+    def test_every_line_break_ends_a_quoted_cell_left_open(self, separator):
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv(f'# "note\nrun,a\n1,2\n\n2,"3{separator}",4\n')
+        assert str(caught.value) == "row 5: a quoted cell may not span lines"
+
+    def test_quoted_header_cell_reads_as_csv_reads_it(self):
+        results = read_results_csv('run,"a"b,"c,d"\n1,2,3\n')
+        assert results == (RunResult(1, {"ab": (2.0,), "c,d": (3.0,)}),)
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv('\n# x\nrun,"a\nb"\n1,2\n')
+        assert str(caught.value) == "row 3: a quoted cell may not span lines"
+
+    def test_closed_quoted_cells_read_as_their_text(self):
+        results = read_results_csv('run,a,b\n"1","2.5",3\n1,4,"5"\n')
+        assert results == (RunResult(1, {"a": (2.5, 4.0), "b": (3.0, 5.0)}),)
+
+    def test_whitespace_line_is_skipped_and_a_quoted_blank_cell_is_not(self):
+        assert read_results_csv("run,a\n1,2\n  \n2,3\n") == (
+            RunResult(1, {"a": (2.0,)}),
+            RunResult(2, {"a": (3.0,)}),
+        )
+        with pytest.raises(ResultsFormatError, match=r"^row 3: expected 2 cells, got 1$"):
+            read_results_csv('run,a\n1,2\n"  "\n')
+        message = r"^row 3, column 'run': not an integer: '  '$"
+        with pytest.raises(ResultsFormatError, match=message):
+            read_results_csv('run,a\n1,2\n"  ",3\n')
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_every_line_ending_numbers_rows_alike(self, newline):
@@ -486,6 +527,12 @@ class TestResultsCsv:
         with pytest.raises(ResultsFormatError) as caught:
             read_results_csv(text + " \n2,x,1\n")
         assert str(caught.value) == "row 9, column 'a': not a number: 'x'"
+        # Comment lines too, and enough of them to fill several slices of the text.
+        lead = "# a note, with commas\n \t\n\n" * 20000
+        assert read_results_csv(lead + text) == read_results_csv(text)
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv(lead + text + "#x\n2,x,1\n")
+        assert str(caught.value) == "row 60009, column 'a': not a number: 'x'"
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_a_long_table_reads_alike_on_every_path(self, newline):
@@ -524,6 +571,20 @@ class TestResultsCsv:
         with pytest.raises(ResultsFormatError) as caught:
             read_results_csv("run,a\n1," + "1" * 131073 + "\n")
         assert str(caught.value) == "row 2: field larger than field limit (131072)"
+        # A cell of zeros is a finite number, so only the limit refuses it.
+        for cell in ["0" * 131073, '"' + "1" * 131073 + '"']:
+            with pytest.raises(ResultsFormatError) as caught:
+                read_results_csv(f"run,a\n1,2\n{cell},3\n")
+            assert str(caught.value) == "row 3: field larger than field limit (131072)"
+        cell = "0" * 131072
+        assert read_results_csv(f"run,a\n1,{cell}\n") == (RunResult(1, {"a": (0.0,)}),)
+
+    def test_a_long_line_of_short_cells_reads(self):
+        header = ",".join(["run", *(f"r{j}" for j in range(30000))])
+        row = ",".join(["1", *("2.25" for _ in range(30000))])
+        assert len(row) > 131072
+        (result,) = read_results_csv(f"{header}\n{row}\n")
+        assert len(result.values) == 30000 and result.values["r29999"] == (2.25,)
 
 
 _RESULT_CELLS = st.sampled_from(["x", "", "  ", "nan", "-inf", "1e999", " 2.5 ", '"3.5"', "4,5"])
@@ -555,11 +616,96 @@ class TestReadRoutesProperty:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(text=_results_text())
     def test_a_trailing_comment_or_whitespace_line_changes_nothing(self, text):
-        # A ``#`` line sends a text through the line filter, and a line of whitespace
-        # sends a text read directly through the row-by-row read.
+        # Either line sends the last batch of lines through the line-by-line read.
         expected = _read_or_error(text)
         assert _read_or_error(text + "\n# note\n") == expected
         assert _read_or_error(text + "\n \t\n") == expected
+
+
+# Cells and lines a results text is edited with: quotes that close on their line and
+# quotes that do not, bad numbers, a cell beyond csv's field limit, and lines to skip.
+_EDIT_CELLS = st.sampled_from(
+    ['"2.5"', '" 3 "', '"2.5', '2"5', '"2,5"', '""', '"  "', '"1"x', '"', "nan", "-inf",
+     "1e999", "", "  ", " 2.5 ", "x", "0" * 131073]
+)
+_EDIT_LINES = st.sampled_from(["", "  ", "\t", "# note", ' # "x', "#,,", '"', '"3,4', "1,2,3"])
+_LINE_BREAKS = st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+
+
+@st.composite
+def _edited_text(draw):
+    """The fixture results, its rows maybe repeated past one batch of lines, with cells
+    replaced, quotes and lines inserted, and any line break between the lines."""
+    text = (FIXTURES / "clip_moulding_results.csv").read_text(encoding="utf-8")
+    header, *rows = text.splitlines()
+    lines = [header, *rows * draw(st.sampled_from([1, 2, 130]))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_EDIT_CELLS)
+        lines[i] = ",".join(cells)
+    for _ in range(draw(st.integers(0, 1))):
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + '"' + lines[i][at:]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_EDIT_LINES))
+    breaks = [draw(_LINE_BREAKS)] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        breaks[draw(st.integers(0, len(lines) - 1))] = draw(_LINE_BREAKS)
+    return "".join(line + end for line, end in zip(lines, breaks))
+
+
+def _naive_read(text: str):
+    """A results table read line by line with ``csv``: each run's values by response,
+    or the number of the first line at fault (``None`` for a fault of the header)."""
+    header = None
+    runs: dict = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            (cells,) = csv.reader([line + "\n"])
+        except csv.Error:
+            return number
+        if any("\n" in cell for cell in cells):  # a quoted cell took the line's end
+            return number
+        if header is None:
+            header = [cell.strip() for cell in cells]
+            if header[0] != "run" or len(header) < 2 or len(set(header)) < len(header):
+                return None
+            continue
+        if len(cells) != len(header):
+            return number
+        try:
+            run = int(cells[0])
+            values = [float(cell) for cell in cells[1:]]
+        except ValueError:
+            return number
+        if not all(map(math.isfinite, values)):
+            return number
+        by_name = runs.setdefault(run, {})
+        for name, value in zip(header[1:], values):
+            by_name[name] = by_name.get(name, ()) + (value,)
+    return None if header is None else runs
+
+
+def _read_or_line(text: str):
+    try:
+        results = read_results_csv(text)
+    except ResultsFormatError as exc:
+        row = re.match(r"row (\d+)", str(exc))
+        return int(row.group(1)) if row else None
+    return {result.run_number: result.values for result in results}
+
+
+class TestReaderDifferentialProperty:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(text=_edited_text())
+    def test_reader_agrees_with_a_naive_line_by_line_csv_read(self, text):
+        assert _read_or_line(text) == _naive_read(text)
 
 
 class TestInputs:

@@ -210,7 +210,7 @@ class TestAnalyzeCommand:
         broken = tmp_path / "spanning.csv"
         broken.write_text('run,cycle_time,shrinkage\n1,"49.4\n161",2.2\n', encoding="utf-8")
         assert main(["analyze", config, str(broken)]) == 2
-        assert single_error(capsys) == "error: row 3, column 'cycle_time': not a number: '49.4\\n161'"
+        assert single_error(capsys) == "error: row 2: a quoted cell may not span lines"
 
     def test_comment_line_inside_a_quoted_cell_is_part_of_the_cell(
         self, fixture_paths, tmp_path, capsys
@@ -220,9 +220,18 @@ class TestAnalyzeCommand:
         broken = tmp_path / "commented.csv"
         broken.write_text(text, encoding="utf-8")
         assert main(["analyze", config, str(broken)]) == 2
-        assert single_error(capsys) == (
-            "error: row 4, column 'cycle_time': not a number: '49.4161\\n# x\\n'"
-        )
+        assert single_error(capsys) == "error: row 2: a quoted cell may not span lines"
+
+    @pytest.mark.parametrize("cell", ['"49.4161\n"', '"\n49.4161"'])
+    def test_number_split_by_a_quoted_line_break_is_refused(
+        self, fixture_paths, tmp_path, capsys, cell
+    ):
+        config, results = fixture_paths
+        text = Path(results).read_text(encoding="utf-8").replace("49.4161", cell)
+        broken = tmp_path / "split.csv"
+        broken.write_text(text, encoding="utf-8")
+        assert main(["analyze", config, str(broken), "--format", "json"]) == 2
+        assert single_error(capsys) == "error: row 2: a quoted cell may not span lines"
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_is_rejected(self, fixture_paths, tmp_path, capsys, cell):

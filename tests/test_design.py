@@ -1,21 +1,12 @@
-"""Factor binding and run-sheet export/import."""
+"""Factor binding, run-sheet export, and the run sheet read back as a run table."""
 
 from __future__ import annotations
 
-import csv
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from taguchikit.analysis import RunResult, read_results_csv
 from taguchikit.arrays import get_array
-from taguchikit.design import (
-    Factor,
-    Run,
-    _ends_in_quoted_cell,
-    bind,
-    export_run_sheet,
-    read_run_sheet,
-)
+from taguchikit.design import Factor, Run, bind, export_run_sheet
 from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
 
 # As originally published the pressure column is in bar; the analysis
@@ -136,58 +127,55 @@ class TestRunSheetCsv:
 
     def test_round_trip(self):
         design = bind(get_array("L9"), BAR_FACTORS)
-        runs = read_run_sheet(export_run_sheet(design))
-        assert runs == design.runs
+        assert _read_back(export_run_sheet(design)) == _by_label(design)
 
     def test_round_trip_skips_comment_lines(self):
         design = bind(get_array("L4"), tuple(Factor(f"f{j}", "", (0, 1)) for j in range(3)))
         annotated = "# array: L4 (auto-selected)\n" + export_run_sheet(design)
-        assert read_run_sheet(annotated) == design.runs
+        assert _read_back(annotated) == _by_label(design)
 
     def test_rejects_missing_run_column(self):
         with pytest.raises(ResultsFormatError, match="'run' column"):
-            read_run_sheet("a,b\n1,2\n")
+            read_results_csv("a,b\n1,2\n")
 
     def test_rejects_non_numeric_cell(self):
         with pytest.raises(ResultsFormatError, match=r"^row 2, column 'a': not a number: 'oops'$"):
-            read_run_sheet("run,a\n1,oops\n")
+            read_results_csv("run,a\n1,oops\n")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_rejects_non_finite_setting(self, cell):
         message = rf"^row 3, column 'b \(s\)': not a finite number: '{cell}'$"
         with pytest.raises(ResultsFormatError, match=message):
-            read_run_sheet(f"run,a,b (s)\n1,2,3\n2,4,{cell}\n")
-
-    def test_unit_after_a_space_is_stripped(self):
-        assert read_run_sheet("run,a (x)\n1,2\n")[0].settings == {"a": 2.0}
+            read_results_csv(f"run,a,b (s)\n1,2,3\n2,4,{cell}\n")
 
     def test_rows_are_numbered_by_file_line(self):
         with pytest.raises(ResultsFormatError, match=r"^row 4, column 'a': not a number: 'oops'$"):
-            read_run_sheet("run,a\n# note\n\n1,oops\n")
+            read_results_csv("run,a\n# note\n\n1,oops\n")
 
     def test_quoted_cell_keeps_its_line_break(self):
         with pytest.raises(ResultsFormatError) as caught:
-            read_run_sheet('run,a,b\n1,"2\n3",4\n')
-        assert str(caught.value) == "row 3, column 'a': not a number: '2\\n3'"
+            read_results_csv('run,a,b\n1,"2\n3",4\n')
+        assert str(caught.value) == "row 2: a quoted cell may not span lines"
 
     def test_comment_line_inside_a_quoted_cell_is_part_of_the_cell(self):
         with pytest.raises(ResultsFormatError) as caught:
-            read_run_sheet('run,a,b\n1,"2\n#x\n",4\n')
-        assert str(caught.value) == "row 4, column 'a': not a number: '2\\n#x\\n'"
+            read_results_csv('run,a,b\n1,"2\n#x\n",4\n')
+        assert str(caught.value) == "row 2: a quoted cell may not span lines"
 
     def test_quote_inside_an_unquoted_cell_opens_no_quoted_cell(self):
-        assert read_run_sheet('run,a"\n# note\n1,2\n') == (Run(1, {'a"': 2.0}),)
+        assert read_results_csv('run,a"\n# note\n1,2\n') == (RunResult(1, {'a"': (2.0,)}),)
 
-    @settings(max_examples=300, derandomize=True)
-    @given(line=st.text('",a ', max_size=10), quoted=st.booleans())
-    def test_quoted_cell_tracking_agrees_with_csv(self, line, quoted):
-        before = ['"x\n'] if quoted else []
-        reader = csv.reader([*before, line + "\n", "z\n"])
-        next(reader)
-        in_quotes = reader.line_num > len(before) + 1
-        assert _ends_in_quoted_cell('"' + line if quoted else line) == in_quotes
 
-    def test_whitespace_line_in_a_sheet_of_runs_alone_is_skipped(self):
-        assert read_run_sheet("run\n1\n  \n2\n") == (Run(1, {}), Run(2, {}))
-        with pytest.raises(ResultsFormatError, match=r"^row 2, column 'run': not an integer: '  '$"):
-            read_run_sheet('run\n"  "\n')
+def _read_back(sheet: str) -> tuple[Run, ...]:
+    """A run sheet read with the results-table reader: each run's settings by column label."""
+    return tuple(
+        Run(result.run_number, {label: value for label, (value,) in result.values.items()})
+        for result in read_results_csv(sheet)
+    )
+
+
+def _by_label(design) -> tuple[Run, ...]:
+    return tuple(
+        Run(run.number, {f.label(): run.settings[f.name] for f in design.factors})
+        for run in design.runs
+    )

@@ -27,7 +27,7 @@ def test_star_import_binds_every_name():
     exec("from taguchikit import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(taguchikit.__all__)
-    assert len(namespace) == 30
+    assert len(namespace) == 29
 
 
 def _run_python(code: str) -> str:
