@@ -9,7 +9,6 @@ Moldflow confirmation runs.
 
 from __future__ import annotations
 
-import argparse
 import json
 from pathlib import Path
 
@@ -22,31 +21,20 @@ from taguchikit import (
     validate,
 )
 from taguchikit.cli import build_design, load_config
-from taguchikit.formatting import fixed, number_label
-from taguchikit.reporting import main_effects_csv, report_to_text
+from taguchikit.design import number_label
+from taguchikit.reporting import fixed, report_to_text
 
-DEFAULT_FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--fixtures", type=Path, default=DEFAULT_FIXTURES, help="fixture directory"
-    )
-    parser.add_argument(
-        "--plot-data", type=Path, default=None, help="optionally write main-effects CSV here"
-    )
-    args = parser.parse_args()
-
-    config = load_config(args.fixtures / "clip_moulding.yaml")
+    config = load_config(FIXTURES / "clip_moulding.yaml")
     design, _ = build_design(config)
     results = read_results_csv(
-        (args.fixtures / "clip_moulding_results.csv").read_text(encoding="utf-8"),
+        (FIXTURES / "clip_moulding_results.csv").read_text(encoding="utf-8"),
         expected_responses=[r.name for r in config.responses],
     )
-    reference = json.loads(
-        (args.fixtures / "moldflow_reference.json").read_text(encoding="utf-8")
-    )
+    reference = json.loads((FIXTURES / "moldflow_reference.json").read_text(encoding="utf-8"))
 
     print("=== Run sheet ===")
     print(export_run_sheet(design))
@@ -54,10 +42,6 @@ def main() -> None:
     report = analyze(design, results, config.responses)
     print("=== Screening ===")
     print(report_to_text(report, config.precision))
-
-    if args.plot_data is not None:
-        args.plot_data.write_text(main_effects_csv(report), encoding="utf-8")
-        print(f"(main-effects plot data written to {args.plot_data})\n")
 
     print("=== Optimum predictions vs recorded confirmation runs ===")
     for response in ("cycle_time", "shrinkage"):

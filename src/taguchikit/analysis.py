@@ -159,7 +159,8 @@ def read_results_csv(
     if not responses:
         raise ResultsFormatError("results table has no response columns")
     if expected_responses is not None:
-        missing = [r for r in expected_responses if r not in responses]
+        present = set(responses)
+        missing = [r for r in expected_responses if r not in present]
         if missing:
             raise ResultsFormatError(
                 f"results table lacks response column(s): {', '.join(missing)}"

@@ -26,7 +26,7 @@ from taguchikit.analysis import (
     validate,
 )
 from taguchikit.arrays import get_array, select_array
-from taguchikit.design import Design, Factor, bind, export_run_sheet
+from taguchikit.design import Design, Factor, _repeated, bind, export_run_sheet
 from taguchikit.errors import ConfigError, TaguchiKitError
 from taguchikit.reporting import _is_number
 
@@ -153,27 +153,17 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
             )
         except (TaguchiKitError, OverflowError) as exc:
             raise fail(loc, str(exc)) from None
-    names = [r.name for r in responses]
-    dupes = sorted({n for n in names if names.count(n) > 1})
+    dupes = _repeated(r.name for r in responses)
     if dupes:
-        raise fail("responses", f"duplicate response name(s): {', '.join(dupes)}")
+        raise fail("responses", f"duplicate response name(s): {dupes}")
 
     precision = data.get("precision", {})
-    if not isinstance(precision, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
-        for k, v in precision.items()
-    ):
+    if not isinstance(precision, dict):
         raise fail("precision", "expected a mapping of quantity name to decimals")
-    unknown = sorted(set(precision) - set(reporting.REPORT_PRECISION))
-    if unknown:
-        raise fail(
-            "precision",
-            f"unknown quantity name(s): {', '.join(unknown)}; "
-            f"expected: {', '.join(sorted(reporting.REPORT_PRECISION))}",
-        )
+    known_keys(precision, tuple(reporting.REPORT_PRECISION), "precision.")
     for key, decimals in precision.items():
-        if not 0 <= decimals <= 15:
-            raise fail(f"precision.{key}", f"expected 0 to 15 decimals, got {decimals}")
+        if type(decimals) is not int or not 0 <= decimals <= 15:
+            raise fail(f"precision.{key}", f"expected 0 to 15 decimals, got {decimals!r}")
 
     return ProjectConfig(
         array=array,

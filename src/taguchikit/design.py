@@ -8,13 +8,29 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from taguchikit.arrays import OrthogonalArray
 from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
-from taguchikit.formatting import number_label
 
-__all__ = ["Factor", "Run", "Design", "bind", "export_run_sheet"]
+__all__ = ["Factor", "Run", "Design", "bind", "export_run_sheet", "number_label"]
+
+
+def number_label(x: float) -> str:
+    """Shortest exact decimal label for a float.
+
+    Integer-valued floats drop the trailing ``.0`` (``47.0`` -> ``"47"``),
+    everything else uses ``repr`` which round-trips exactly. This is what
+    keeps exported run sheets byte-identical to their declared levels.
+    """
+    if float(x).is_integer():
+        return str(int(x))
+    return repr(x)
+
+
+def _repeated(names: Iterable[str]) -> str:
+    """The names that occur more than once, sorted and comma-separated; empty if none."""
+    return ", ".join(sorted(n for n, count in Counter(names).items() if count > 1))
 
 
 @dataclass(frozen=True)
@@ -92,10 +108,9 @@ def bind(array: OrthogonalArray, factors: Sequence[Factor]) -> Design:
         raise BindError(
             f"{array.name} has {array.columns} columns but {len(factors)} factors were given"
         )
-    names = [f.name for f in factors]
-    dupes = sorted({n for n in names if names.count(n) > 1})
+    dupes = _repeated(f.name for f in factors)
     if dupes:
-        raise BindError(f"duplicate factor names: {', '.join(dupes)}")
+        raise BindError(f"duplicate factor names: {dupes}")
     for j, factor in enumerate(factors):
         want = array.levels_per_column[j]
         if len(factor.levels) != want:
@@ -151,9 +166,9 @@ def _read_run_table(text: str) -> Iterator:
         raise ResultsFormatError("results table is empty")
     if header[0] != "run":
         raise ResultsFormatError("results table must start with a 'run' column")
-    repeated = sorted(h for h, count in Counter(header).items() if count > 1)
+    repeated = _repeated(header)
     if repeated:
-        raise ResultsFormatError(f"results table repeats column(s): {', '.join(repeated)}")
+        raise ResultsFormatError(f"results table repeats column(s): {repeated}")
     yield header
     while batch := list(islice(lines, _BATCH_LINES)):
         try:
@@ -241,8 +256,6 @@ def _checked_rows(lines: list[str], done: int, header: list[str]) -> tuple[list[
 
 def _cells(line: str, line_number: int) -> list[str]:
     """A line's cells as non-strict csv reads them; a quoted cell must close on the line."""
-    if '"' not in line and len(line) <= csv.field_size_limit():
-        return line.split(",")
     # A quoted cell left open reads on into the second, empty line.
     reader = csv.reader((line, ""))
     try:

@@ -16,9 +16,8 @@ from typing import Mapping, Sequence
 from taguchikit.analysis import AnalysisReport, RunResult, _additive_sum, _mean
 from taguchikit.analysis import _row_replicates, _response_index
 from taguchikit.arrays import verify_orthogonality
-from taguchikit.design import Design, Factor
+from taguchikit.design import Design, Factor, number_label
 from taguchikit.errors import CombinationNotCoveredError, InvalidLevelError, UnbalancedDesignError
-from taguchikit.formatting import number_label
 
 __all__ = ["TableEvaluator", "SurrogateEvaluator", "fit_surrogate"]
 

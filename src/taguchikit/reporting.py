@@ -12,10 +12,11 @@ import csv
 import io
 import json
 import math
+from decimal import ROUND_DOWN, ROUND_HALF_UP, Context, Decimal
 
 from taguchikit.analysis import AnalysisReport, Prediction, ResponseAnalysis
+from taguchikit.design import number_label
 from taguchikit.errors import ConfigError
-from taguchikit.formatting import fixed, number_label
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -27,12 +28,26 @@ __all__ = [
     "prediction_to_json",
     "prediction_from_json_dict",
     "prediction_to_text",
+    "fixed",
 ]
 
 SCHEMA_VERSION = 1
 
 # Display decimals per quantity; callers may override via the precision arg.
 REPORT_PRECISION = {"snr": 2, "mean": 4, "prediction": 4, "error_percent": 2}
+
+# Enough digits for any double (at most 309 integer digits) at up to 15
+# decimals; the default 28-digit context fails on values from 1e24 up.
+_CONTEXT = Context(prec=330)
+
+
+def fixed(x: float, decimals: int, *, truncate: bool = False) -> str:
+    """``x`` with exactly ``decimals`` fractional digits: rounded half away from zero,
+    or chopped toward zero with ``truncate``.
+    """
+    mode = ROUND_DOWN if truncate else ROUND_HALF_UP
+    quantum = Decimal(1).scaleb(-decimals)
+    return str(Decimal(repr(x)).quantize(quantum, rounding=mode, context=_CONTEXT))
 
 
 def report_to_json_dict(report: AnalysisReport) -> dict:
@@ -201,7 +216,9 @@ def prediction_from_json_dict(data: dict) -> Prediction:
 
     ``response`` and ``unit`` must be strings, ``levels`` must hold one
     integer label (1 or more) per entry of the ``settings`` mapping, and
-    the settings and ``predicted`` must be finite numbers.
+    the settings and ``predicted`` must be finite numbers. ``confirmation``
+    and ``error_percent`` are not read: :func:`~taguchikit.analysis.validate`
+    derives them.
     """
     try:
         levels, settings = data["levels"], data["settings"]
@@ -221,8 +238,6 @@ def prediction_from_json_dict(data: dict) -> Prediction:
             level_indices=tuple(l - 1 for l in levels),
             settings={k: float(v) for k, v in settings.items()},
             predicted=float(predicted),
-            confirmation=data.get("confirmation"),
-            error_percent=data.get("error_percent"),
         )
         if not all(map(math.isfinite, [*prediction.settings.values(), prediction.predicted])):
             raise ValueError("settings and 'predicted' must be finite")

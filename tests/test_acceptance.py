@@ -15,7 +15,7 @@ from _acceptance_log import record
 from taguchikit.analysis import predict_optimum, validate
 from taguchikit.arrays import CATALOG_NAMES, OrthogonalArray, get_array, verify_orthogonality
 from taguchikit.evaluators import fit_surrogate
-from taguchikit.formatting import fixed_value
+from taguchikit.reporting import fixed
 
 
 def _check(criterion: str, description: str, failures: list[str]) -> None:
@@ -35,7 +35,7 @@ def test_a1_snr_reproduction(clip_report, moldflow_reference):
         computed = clip_report.response(response).snr_per_run
         for run, (value, printed) in enumerate(zip(computed, recorded), start=1):
             decimals = len(printed.split(".")[1]) if "." in printed else 0
-            shown = fixed_value(value, decimals, truncate=True)
+            shown = float(fixed(value, decimals, truncate=True))
             if abs(shown - float(printed)) > 0.005:
                 failures.append(f"{response} run {run}: {shown} vs recorded {printed}")
     _check("criterion 1", "S/N columns reproduced within 0.005 dB (18 entries)", failures)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -38,8 +39,13 @@ from taguchikit.errors import (
     UnknownResponseError,
 )
 from taguchikit.evaluators import TableEvaluator
-from taguchikit.formatting import fixed_value
-from taguchikit.reporting import report_to_json
+from taguchikit.reporting import (
+    fixed,
+    prediction_from_json_dict,
+    prediction_to_json,
+    prediction_to_text,
+    report_to_json,
+)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -73,11 +79,11 @@ class TestSnr:
         value = snr([49.4161])
         assert value == pytest.approx(-10 * math.log10(49.4161**2), rel=1e-12)
         # two-decimal convention of the recorded tables chops toward zero
-        assert abs(fixed_value(value, 2, truncate=True) - (-33.87)) <= 0.005
+        assert abs(float(fixed(value, 2, truncate=True)) - (-33.87)) <= 0.005
 
     def test_recorded_run1_shrinkage(self):
         value = snr([2.2])
-        assert abs(fixed_value(value, 2, truncate=True) - (-6.84)) <= 0.005
+        assert abs(float(fixed(value, 2, truncate=True)) - (-6.84)) <= 0.005
 
     def test_recorded_run7_cycle_time(self):
         assert snr([22.925]) == pytest.approx(-27.2, abs=0.05)
@@ -373,6 +379,17 @@ class TestValidate:
         assert confirmed.confirmation == 12.5
         assert confirmed.error_percent == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("derived", [{"error_percent": math.nan}, {"confirmation": "x"}])
+    def test_prediction_document_fields_that_validate_derives_are_not_read(
+        self, clip_report, derived
+    ):
+        prediction = predict_optimum(clip_report, "cycle_time")
+        document = {**json.loads(prediction_to_json(validate(prediction, 22.92))), **derived}
+        read = prediction_from_json_dict(document)
+        assert prediction_to_json(read) == prediction_to_json(prediction)
+        assert prediction_to_text(read) == prediction_to_text(prediction)
+        assert read == prediction
+
 
 class TestGrandMean:
     @pytest.mark.parametrize("response", ["cycle_time", "shrinkage"])
@@ -432,6 +449,8 @@ class TestResultsCsv:
     def test_repeated_column_is_rejected(self):
         with pytest.raises(ResultsFormatError, match=r"repeats column\(s\): y$"):
             read_results_csv("run,y,z,y\n1,1.0,2.0,100.0\n")
+        with pytest.raises(ResultsFormatError, match=r"repeats column\(s\): x, y, z$"):
+            read_results_csv("run,z,y,x,z,y,x\n1,1,2,3,4,5,6\n")
 
     def test_rows_are_numbered_by_file_line(self):
         text = "run,cycle_time,shrinkage\n# note\n\n1,49.4,2.2\n2,oops,2.1\n"

@@ -411,6 +411,11 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="duplicate response"):
             load_config(bad)
+        data = yaml.safe_load(AUTO_CONFIG)
+        data["responses"] = [{"name": name, "objective": "smaller-the-better"} for name in "cbacba"]
+        with pytest.raises(ConfigError) as caught:
+            _parse_config(data, "config")
+        assert str(caught.value) == "config: responses: duplicate response name(s): a, b, c"
 
     def test_unknown_objective_reports_field(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -469,10 +474,14 @@ class TestConfigParsing:
             "precision:\n  wavelength: 3\n",
             encoding="utf-8",
         )
-        with pytest.raises(ConfigError, match="wavelength"):
+        with pytest.raises(ConfigError) as caught:
             load_config(bad)
+        assert str(caught.value) == (
+            f"{bad}: precision.wavelength: unknown key; "
+            "expected one of: snr, mean, prediction, error_percent"
+        )
 
-    @pytest.mark.parametrize("decimals", [-2, 16, 100000])
+    @pytest.mark.parametrize("decimals", [-2, 16, 100000, "'2'"])
     def test_precision_out_of_range_rejected(self, fixtures_dir, tmp_path, capsys, decimals):
         config_text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")
         config = tmp_path / "precise.yaml"

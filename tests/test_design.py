@@ -65,6 +65,10 @@ class TestBind:
         factors = BAR_FACTORS[:3] + (Factor("mould_temperature", "s", (3.5, 4.5, 5.5)),)
         with pytest.raises(BindError, match="duplicate"):
             bind(get_array("L9"), factors)
+        # Names repeated out of order are each listed once, sorted.
+        factors = [Factor(name, "", (1, 2)) for name in "cbacbad"]
+        with pytest.raises(BindError, match=r"^duplicate factor names: a, b, c$"):
+            bind(get_array("L8"), factors)
 
     def test_bind_is_deterministic(self):
         assert bind(get_array("L9"), BAR_FACTORS) == bind(get_array("L9"), BAR_FACTORS)

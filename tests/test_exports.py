@@ -60,3 +60,14 @@ def test_validate_does_not_load_yaml(tmp_path):
         "print(code, 'yaml' in sys.modules)"
     )
     assert _run_python(code).splitlines()[-1] == "0 False"
+
+
+def test_each_call_the_benchmark_tracer_wraps_is_still_there():
+    # perfbench wraps these names by looking each up in its owner's __dict__; the
+    # file is compiled from its text, so no bytecode is written beside it.
+    path = REPO / "perfbench" / "tracing.py"
+    tracing: dict = {"__name__": "perfbench_tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    for owner_path, attr, *_ in tracing["CLI_CALLS"] + tracing["LIBRARY_CALLS"]:
+        importlib.import_module(owner_path.partition(":")[0])
+        assert attr in vars(tracing["_owner"](owner_path)), f"{owner_path}:{attr}"
