@@ -24,7 +24,7 @@ _EXPORTS = {
     "ResponseAnalysis": "analysis",
     "ResponseSpec": "analysis",
     "Run": "design",
-    "RunResult": "analysis",
+    "RunResult": "design",
     "SurrogateEvaluator": "evaluators",
     "TableEvaluator": "evaluators",
     "TaguchiKitError": "errors",
@@ -38,7 +38,7 @@ _EXPORTS = {
     "optimal_levels": "analysis",
     "predict_optimum": "analysis",
     "rank_factors": "analysis",
-    "read_results_csv": "analysis",
+    "read_results_csv": "design",
     "select_array": "arrays",
     "snr": "analysis",
     "validate": "analysis",

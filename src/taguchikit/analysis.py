@@ -14,13 +14,13 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from taguchikit.design import Design, _read_run_table
+# perfbench's workload and tests read RunResult and read_results_csv here; design defines them.
+from taguchikit.design import Design, RunResult, read_results_csv  # noqa: F401
 from taguchikit.errors import (
     ConfigError,
     ConfirmationError,
     IncompleteResultsError,
     InvalidLevelError,
-    ResultsFormatError,
     SingularityError,
     UnknownResponseError,
 )
@@ -28,12 +28,10 @@ from taguchikit.errors import (
 __all__ = [
     "Objective",
     "ResponseSpec",
-    "RunResult",
     "ResponseAnalysis",
     "AnalysisReport",
     "Prediction",
     "snr",
-    "read_results_csv",
     "rank_factors",
     "optimal_levels",
     "analyze",
@@ -70,29 +68,6 @@ class ResponseSpec:
             raise ConfigError(f"response {self.name!r}: target only applies to nominal-the-best")
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Measured replicate values for one run, keyed by response name."""
-
-    run_number: int
-    values: dict[str, tuple[float, ...]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", {name: tuple(map(float, ys)) for name, ys in self.values.items()}
-        )
-        for name, ys in self.values.items():
-            if not ys:
-                raise ResultsFormatError(
-                    f"run {self.run_number}: response {name!r} has no replicate values"
-                )
-            if not all(map(math.isfinite, ys)):
-                bad = next(y for y in ys if not math.isfinite(y))
-                raise ResultsFormatError(
-                    f"run {self.run_number}: response {name!r} has a non-finite value: {bad!r}"
-                )
-
-
 def _mean(values: Sequence[float]) -> float:
     """Arithmetic mean, to the bit what ``statistics.fmean`` gives for a sized input."""
     return math.fsum(values) / len(values)
@@ -115,22 +90,21 @@ def snr(
     zero (all-zero values, a zero value under larger-the-better, or every
     value exactly on target), or leaves the floating-point range.
     """
-    ys = list(map(float, values))
-    if not ys:
+    if not values:
         raise SingularityError("S/N ratio needs at least one value")
     try:
         if objective is Objective.SMALLER_IS_BETTER:
-            msd = _mean([y * y for y in ys])
+            msd = _mean([y * y for y in values])
             if msd == 0.0:
                 raise SingularityError("smaller-the-better S/N undefined for all-zero values")
         elif objective is Objective.LARGER_IS_BETTER:
-            if 0.0 in ys:
+            if 0.0 in values:
                 raise SingularityError("larger-the-better S/N undefined when any value is zero")
-            msd = _mean([1.0 / (y * y) for y in ys])
+            msd = _mean([1.0 / (y * y) for y in values])
         else:  # nominal-the-best
             if target is None:
                 raise SingularityError("nominal-the-best S/N needs a target")
-            msd = _mean([(y - target) ** 2 for y in ys])
+            msd = _mean([(y - target) ** 2 for y in values])
             if msd == 0.0:
                 raise SingularityError(
                     "nominal-the-best S/N undefined when every value equals the target"
@@ -140,50 +114,6 @@ def snr(
     if not 0.0 < msd < math.inf:
         raise SingularityError(f"{objective.value} S/N is out of the floating-point range")
     return -10.0 * math.log10(msd)
-
-
-def read_results_csv(
-    text: str,
-    expected_responses: Sequence[str] | None = None,
-) -> tuple[RunResult, ...]:
-    """Parse a results table: header ``run,<response>,...``, one row per run.
-
-    Repeated rows for the same run number are treated as replicates and
-    appended in file order. Each line is one row: blank lines and lines
-    starting with ``#`` are skipped, and a quoted cell may not span lines.
-    Bad cells are reported with their row number and column name; the row
-    number is the line number in the file.
-    """
-    table = _read_run_table(text)
-    responses = next(table)[1:]
-    if not responses:
-        raise ResultsFormatError("results table has no response columns")
-    if expected_responses is not None:
-        present = set(responses)
-        missing = [r for r in expected_responses if r not in present]
-        if missing:
-            raise ResultsFormatError(
-                f"results table lacks response column(s): {', '.join(missing)}"
-            )
-    width = len(responses)
-    # Each run's rows laid end to end; response i is every width-th value from i. Zipping
-    # one iterator over the values ``width`` times cuts them into rows.
-    flat: dict[int, list[float]] = {}
-    for numbers, values in table:
-        for number, row in zip(numbers, zip(*[iter(values)] * width)):
-            flat.setdefault(number, []).extend(row)
-    return tuple(
-        _read_result(number, {name: tuple(ys[i::width]) for i, name in enumerate(responses)})
-        for number, ys in sorted(flat.items())
-    )
-
-
-def _read_result(run_number: int, values: dict[str, tuple[float, ...]]) -> RunResult:
-    """A ``RunResult`` without ``__post_init__``: the reader has converted and checked each value."""
-    result = object.__new__(RunResult)
-    object.__setattr__(result, "run_number", run_number)
-    object.__setattr__(result, "values", values)
-    return result
 
 
 def _row_replicates(design: Design, results: Iterable[RunResult]) -> list[dict[str, list[float]]]:

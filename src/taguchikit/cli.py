@@ -22,11 +22,10 @@ from taguchikit.analysis import (
     ResponseSpec,
     analyze,
     predict_optimum,
-    read_results_csv,
     validate,
 )
 from taguchikit.arrays import get_array, select_array
-from taguchikit.design import Design, Factor, _repeated, bind, export_run_sheet
+from taguchikit.design import Design, Factor, _repeated, bind, export_run_sheet, read_results_csv
 from taguchikit.errors import ConfigError, TaguchiKitError
 from taguchikit.reporting import _is_number
 
@@ -197,28 +196,33 @@ def _write_output(path: str | None, text: str) -> None:
 
     The file gets the mode ``open(path, "w")`` would give it: an existing
     target keeps its permission bits, a new one gets ``0o666`` less the umask.
+    The temporary file's name does not grow with the target's; errors name the target.
     """
     if path is None:
         sys.stdout.write(text)
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp = os.path.join(os.path.dirname(path), f".taguchikit-{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if os.path.exists(path):
-                os.chmod(handle.fileno(), os.stat(path).st_mode & 0o777)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                if os.path.exists(path):
+                    os.chmod(handle.fileno(), os.stat(path).st_mode & 0o777)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _analyze_from_files(config_path: str, results_path: str, array_override: str | None) -> tuple[ProjectConfig, AnalysisReport]:
     config = load_config(config_path)
     design, _ = build_design(config, array_override)
-    text = _read_input(results_path, "results")
-    results = read_results_csv(text, expected_responses=[r.name for r in config.responses])
+    names = [r.name for r in config.responses]
+    # The text is passed, not kept, so it is freed before analyze builds its lists.
+    results = read_results_csv(_read_input(results_path, "results"), expected_responses=names)
     return config, analyze(design, results, config.responses)
 
 

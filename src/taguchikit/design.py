@@ -1,4 +1,4 @@
-"""Bind physical factors to array columns, produce concrete run sheets, and read run tables."""
+"""Bind factors to array columns, export run sheets, and read the results measured for their runs."""
 
 from __future__ import annotations
 
@@ -13,7 +13,10 @@ from typing import Iterable, Iterator, Sequence
 from taguchikit.arrays import OrthogonalArray
 from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
 
-__all__ = ["Factor", "Run", "Design", "bind", "export_run_sheet", "number_label"]
+__all__ = [
+    "Factor", "Run", "Design", "RunResult",
+    "bind", "export_run_sheet", "number_label", "read_results_csv",
+]
 
 
 def number_label(x: float) -> str:
@@ -97,6 +100,30 @@ class Design:
         return tuple(f.name for f in self.factors)
 
 
+@dataclass(frozen=True)
+class RunResult:
+    """Measured replicate values for one run, keyed by response name."""
+
+    run_number: int
+    values: dict[str, tuple[float, ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "values", {name: tuple(map(float, ys)) for name, ys in self.values.items()}
+        )
+        for name, ys in self.values.items():
+            if not ys:
+                raise ResultsFormatError(
+                    f"run {self.run_number}: response {name!r} has no replicate values"
+                )
+            # A finite sum has only finite terms; an infinite one may also be an overflow.
+            bad = [] if math.isfinite(sum(ys)) else [y for y in ys if not math.isfinite(y)]
+            if bad:
+                raise ResultsFormatError(
+                    f"run {self.run_number}: response {name!r} has a non-finite value: {bad[0]!r}"
+                )
+
+
 def bind(array: OrthogonalArray, factors: Sequence[Factor]) -> Design:
     """Bind one factor per array column, in order.
 
@@ -145,17 +172,17 @@ _BATCH_LINES = 1024
 _SLICE_CHARS = 1 << 16
 
 
-def _read_run_table(text: str) -> Iterator:
-    """Read a ``run,<column>,...`` CSV table: yield its header, then ``(numbers, values)``
-    for one or more rows at a time: each row's run number, and the rows' other cells
-    as one row-major list.
+def read_results_csv(
+    text: str, expected_responses: Sequence[str] | None = None
+) -> tuple[RunResult, ...]:
+    """Parse a results table: header ``run,<response>,...``, one row per run.
 
-    Each line, as ``str.splitlines`` cuts them, is one row, so a quoted cell may
-    not span lines. Blank lines and lines starting with ``#`` are skipped. The
-    header must start with ``run`` and name each column once; each row must be
-    as wide as the header, start with an integer run number and carry a finite
-    number in every other cell. Errors name the row by its 1-based line number
-    in the file.
+    Repeated rows for the same run number are replicates, appended in file
+    order. Each line, as ``str.splitlines`` cuts them, is one row: blank and
+    ``#`` lines are skipped, and a quoted cell may not span lines. The header
+    names each column once; each row is as wide as the header, starts with an
+    integer run number and holds a finite number in every other cell. Errors
+    name the row by its line number in the file, and a bad cell by its column.
     """
     lines = chain.from_iterable(map(str.splitlines, _slices(text)))
     for done, line in enumerate(lines, 1):
@@ -169,14 +196,33 @@ def _read_run_table(text: str) -> Iterator:
     repeated = _repeated(header)
     if repeated:
         raise ResultsFormatError(f"results table repeats column(s): {repeated}")
-    yield header
+    responses = header[1:]
+    if not responses:
+        raise ResultsFormatError("results table has no response columns")
+    if expected_responses is not None:
+        present = set(responses)
+        missing = [r for r in expected_responses if r not in present]
+        if missing:
+            raise ResultsFormatError(
+                f"results table lacks response column(s): {', '.join(missing)}"
+            )
+    width = len(responses)
+    # Each run's rows laid end to end; response i is every width-th value from i. Zipping
+    # one iterator over the values ``width`` times cuts them into rows.
+    flat: dict[int, list[float]] = {}
     while batch := list(islice(lines, _BATCH_LINES)):
         try:
-            rows = _plain_rows(batch, len(header))
+            numbers, values = _plain_rows(batch, len(header))
         except ValueError:
-            rows = _checked_rows(batch, done, header)
-        yield rows
+            numbers, values = _checked_rows(batch, done, header)
+        for number, row in zip(numbers, zip(*[iter(values)] * width)):
+            flat.setdefault(number, []).extend(row)
         done += len(batch)
+    results = []
+    for number in sorted(flat):
+        ys = flat.pop(number)  # freed once its result holds the values
+        results.append(RunResult(number, {name: ys[i::width] for i, name in enumerate(responses)}))
+    return tuple(results)
 
 
 def _slices(text: str) -> Iterator[str]:

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from taguchikit.analysis import AnalysisReport, RunResult, _additive_sum, _mean
+from taguchikit.analysis import AnalysisReport, _additive_sum, _mean
 from taguchikit.analysis import _row_replicates, _response_index
 from taguchikit.arrays import verify_orthogonality
-from taguchikit.design import Design, Factor, number_label
+from taguchikit.design import Design, Factor, RunResult, number_label
 from taguchikit.errors import CombinationNotCoveredError, InvalidLevelError, UnbalancedDesignError
 
 __all__ = ["TableEvaluator", "SurrogateEvaluator", "fit_surrogate"]

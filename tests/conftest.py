@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from taguchikit.analysis import analyze, read_results_csv
+from taguchikit.analysis import analyze
 from taguchikit.cli import build_design, load_config
+from taguchikit.design import read_results_csv
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 

@@ -17,18 +17,16 @@ from taguchikit.analysis import (
     Objective,
     Prediction,
     ResponseSpec,
-    RunResult,
     analyze,
     error_percent,
     optimal_levels,
     predict_optimum,
     rank_factors,
-    read_results_csv,
     snr,
     validate,
 )
 from taguchikit.arrays import OrthogonalArray, get_array
-from taguchikit.design import Factor, bind
+from taguchikit.design import Factor, RunResult, bind, read_results_csv
 from taguchikit.errors import (
     ConfigError,
     ConfirmationError,
@@ -736,8 +734,10 @@ class TestInputs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_run_result_rejects_non_finite_values(self, bad):
         message = f"^run 3: response 'y' has a non-finite value: {bad!r}$"
-        with pytest.raises(ResultsFormatError, match=message):
-            RunResult(3, {"y": (1.0, bad)})
+        # The first two values of the second input sum to inf, yet are finite.
+        for values in [(1.0, bad), (1e308, 1e308, bad)]:
+            with pytest.raises(ResultsFormatError, match=message):
+                RunResult(3, {"y": values})
 
     def test_analyze_needs_a_spec(self, clip_design, clip_results):
         with pytest.raises(UnknownResponseError, match="^at least one response spec is required$"):

@@ -151,6 +151,26 @@ class TestDesignCommand:
         assert target.is_dir() and list(target.iterdir()) == []
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_out_takes_a_name_at_the_length_limit(self, fixture_paths, tmp_path, capsys):
+        config, _ = fixture_paths
+        target = tmp_path / ("r" * 251 + ".csv")  # 255 bytes
+        with open(target, "w"):  # a plain write takes the name
+            pass
+        assert main(["design", config]) == 0
+        sheet = capsys.readouterr().out
+        assert main(["design", config, "--out", str(target)]) == 0
+        assert target.read_bytes() == sheet.encode("utf-8")
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_out_in_a_missing_directory_fails_as_a_plain_write(self, fixture_paths, tmp_path, capsys):
+        config, _ = fixture_paths
+        target = str(tmp_path / "missing" / "runsheet.csv")
+        with pytest.raises(OSError) as plain:
+            open(target, "w")
+        assert main(["design", config, "--out", target]) == 2
+        assert single_error(capsys) == f"error: {plain.value}"
+        assert target in str(plain.value)
+
 
 class TestAnalyzeCommand:
     def test_json_report_is_deterministic_and_frozen(self, fixture_paths, fixtures_dir, capsys):

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from taguchikit.analysis import RunResult, read_results_csv
 from taguchikit.arrays import get_array
-from taguchikit.design import Factor, Run, bind, export_run_sheet
+from taguchikit.design import Factor, Run, RunResult, bind, export_run_sheet, read_results_csv
 from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
 
 # As originally published the pressure column is in bar; the analysis

@@ -8,9 +8,9 @@ from statistics import fmean
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taguchikit.analysis import Objective, ResponseSpec, RunResult, analyze, predict_optimum
+from taguchikit.analysis import Objective, ResponseSpec, analyze, predict_optimum
 from taguchikit.arrays import OrthogonalArray
-from taguchikit.design import Factor, bind
+from taguchikit.design import Factor, RunResult, bind
 from taguchikit.errors import (
     CombinationNotCoveredError,
     IncompleteResultsError,

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import taguchikit
@@ -71,3 +73,72 @@ def test_each_call_the_benchmark_tracer_wraps_is_still_there():
     for owner_path, attr, *_ in tracing["CLI_CALLS"] + tracing["LIBRARY_CALLS"]:
         importlib.import_module(owner_path.partition(":")[0])
         assert attr in vars(tracing["_owner"](owner_path)), f"{owner_path}:{attr}"
+
+
+def _bound(module: str, name: str):
+    """What ``from <module> import <name>`` binds, or None where that import fails."""
+    try:
+        return getattr(importlib.import_module(module), name)
+    except AttributeError:
+        pass
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def _package_reads(path: Path) -> set[tuple[str, str]]:
+    """``(module, name)`` for each name a file takes from the package, found in its syntax.
+
+    These are the names of each ``from taguchikit... import`` statement, and each
+    attribute read on a submodule that ``from taguchikit import a, b`` binds, by its
+    own name or by one it is assigned to (``self.a = a``), within the top-level
+    statement that imports it.
+    """
+    reads = set()
+    for scope in ast.parse(path.read_text(encoding="utf-8")).body:
+        nodes = list(ast.walk(scope))
+        modules = {}  # source text of an expression -> the submodule it names
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "taguchikit":
+                for alias in node.names:
+                    reads.add((node.module, alias.name))
+                    if isinstance(_bound(node.module, alias.name), types.ModuleType):
+                        modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    for name, value in pairs:
+                        if ast.unparse(value) in modules:
+                            modules[ast.unparse(name)] = modules[ast.unparse(value)]
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                module = modules.get(ast.unparse(node.value))
+                if module is not None:
+                    reads.add((module, node.attr))
+    return reads
+
+
+def test_each_package_name_the_benchmark_reads_is_still_there():
+    # The workload and perfbench's own tests are parsed, not imported or run.
+    workload = _package_reads(REPO / "perfbench" / "workloads.py")
+    tests = _package_reads(REPO / "perfbench" / "tests" / "test_perfbench.py")
+    assert {
+        ("taguchikit.analysis", "read_results_csv"),
+        ("taguchikit.analysis", "RunResult"),
+        ("taguchikit.cli", "load_config"),
+        ("taguchikit.cli", "build_design"),
+        ("taguchikit.evaluators", "TableEvaluator"),
+        ("taguchikit.evaluators", "fit_surrogate"),
+        ("taguchikit.reporting", "report_to_json"),
+    } <= workload
+    assert {
+        ("taguchikit.analysis", "analyze"),
+        ("taguchikit.analysis", "read_results_csv"),
+        ("taguchikit.reporting", "report_to_json_dict"),
+    } <= tests
+    missing = sorted(f"{module}.{name}" for module, name in workload | tests if _bound(module, name) is None)
+    assert missing == []
