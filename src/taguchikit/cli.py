@@ -9,6 +9,8 @@ error never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import json
 import os
 import sys
@@ -199,7 +201,18 @@ def _write_output(path: str | None, text: str) -> None:
     The temporary file's name does not grow with the target's; errors name the target.
     """
     if path is None:
-        sys.stdout.write(text)
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError:
+            # The unwritten bytes stay buffered, and the interpreter's flush at
+            # exit would fail on them again; from now on fd 1 discards them.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
         return
     tmp = os.path.join(os.path.dirname(path), f".taguchikit-{os.getpid()}.tmp")
     try:
@@ -351,5 +364,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console entry point."""
-    raise SystemExit(main())
+    """Console entry point: one short process that keeps no reference cycles alive.
+
+    The cyclic collector stays off, and the objects are frozen before exit so
+    that interpreter finalization does not walk them.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,8 @@ from taguchikit.analysis import analyze
 from taguchikit.cli import build_design, load_config
 from taguchikit.design import read_results_csv
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+REPO = Path(__file__).resolve().parents[1]
+FIXTURES = REPO / "fixtures"
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +44,25 @@ def clip_report(clip_design, clip_results, clip_config):
 @pytest.fixture(scope="session")
 def moldflow_reference():
     return json.loads((FIXTURES / "moldflow_reference.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
+def spawn():
+    """Run a command in a fresh process that imports the package from ``src``.
+
+    ``PYTHONUNBUFFERED`` is dropped, so a child Python buffers a stdout that
+    is not a terminal, as it does for a user: a failing write then shows only
+    when the buffer is flushed. Keyword arguments go to ``subprocess.run``.
+    """
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+
+    def run(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+        options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, "timeout": 60}
+        return subprocess.run(argv, env=env, **{**options, **kwargs})
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

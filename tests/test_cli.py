@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
 import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -52,6 +52,13 @@ def single_error(capsys) -> str:
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     return lines[0]
+
+
+def single_os_error(completed, code: int) -> None:
+    """A spawned command failed with exit 2 and one ``error:`` line naming ``code``."""
+    assert completed.returncode == 2
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: [Errno {code}] "), completed.stderr
 
 
 @pytest.fixture
@@ -182,6 +189,12 @@ class TestAnalyzeCommand:
         assert first == second
         expected = (fixtures_dir / "expected_report.json").read_text(encoding="utf-8")
         assert first == expected
+
+    def test_module_entry_point_prints_the_frozen_report(self, fixture_paths, fixtures_dir, spawn):
+        argv = [sys.executable, "-m", "taguchikit", "analyze", *fixture_paths, "--format", "json"]
+        completed = spawn(argv, text=False)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == (fixtures_dir / "expected_report.json").read_bytes()
 
     def test_json_report_contents(self, fixture_paths, capsys):
         config, results = fixture_paths
@@ -692,20 +705,36 @@ class TestTotality:
         assert single_error(capsys).startswith(f"error: {config}: maximum recursion depth")
 
     @pytest.mark.parametrize("text", ["a: " + "[" * 25000, "- " * 25000 + "a"], ids=["flow", "block"])
-    def test_config_nested_beyond_libyaml_stack(self, tmp_path, text):
+    def test_config_nested_beyond_libyaml_stack(self, tmp_path, spawn, text):
         config = tmp_path / "config.yaml"
         config.write_text(text, encoding="utf-8")
-        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-        completed = subprocess.run(
-            [sys.executable, "-m", "taguchikit", "design", str(config)],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        completed = spawn([sys.executable, "-m", "taguchikit", "design", str(config)])
         assert completed.returncode == 2 and completed.stdout == ""
         lines = completed.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), completed.stderr
+
+    def test_full_stdout_is_one_error_line(self, fixture_paths, spawn):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        argv = [sys.executable, "-m", "taguchikit", "design", fixture_paths[0]]
+        with open("/dev/full", "w") as full:
+            completed = spawn(argv, stdout=full)
+        single_os_error(completed, errno.ENOSPC)
+
+    def test_broken_pipe_stdout_is_one_error_line(self, fixture_paths, spawn):
+        argv = [sys.executable, "-m", "taguchikit", "design", fixture_paths[0]]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = spawn(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        single_os_error(completed, errno.EPIPE)
+
+    def test_closed_stdout_is_one_error_line(self, fixture_paths, spawn):
+        argv = [sys.executable, "-m", "taguchikit", "design", fixture_paths[0]]
+        completed = spawn(["sh", "-c", '"$0" "$@" >&-', *argv])
+        single_os_error(completed, errno.EBADF)
 
     def test_line_break_in_a_name_stays_on_the_error_line(self, fixture_paths, tmp_path, capsys):
         config, results = fixture_paths
@@ -974,33 +1003,16 @@ class TestLayoutInvariance:
         assert out.getvalue() == expected
 
 
-def test_case_study_script_runs(tmp_path):
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    completed = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "run_case_study.py")],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+def test_case_study_script_runs(tmp_path, spawn):
+    completed = spawn([sys.executable, str(REPO / "scripts" / "run_case_study.py")], cwd=tmp_path)
     assert completed.returncode == 0, completed.stderr
     assert "21.2575" in completed.stdout and "7.25" in completed.stdout
 
 
-def test_readme_library_example_runs():
+def test_readme_library_example_runs(spawn):
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     start = readme.index("```python\n", readme.index("## Library example")) + len("```python\n")
     example = readme[start:readme.index("```\n", start)]
     assert "fit_surrogate(report" in example
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, "-c", example],
-        cwd=REPO,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    completed = spawn([sys.executable, "-c", example], cwd=REPO)
     assert completed.returncode == 0, completed.stderr

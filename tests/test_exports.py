@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
-import os
-import subprocess
 import sys
 import types
 from pathlib import Path
@@ -32,26 +31,30 @@ def test_star_import_binds_every_name():
     assert len(namespace) == 29
 
 
-def _run_python(code: str) -> str:
+def _run_python(spawn, code: str) -> str:
     """Stdout of ``code`` run in a fresh interpreter that imports the package from ``src``."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    completed = spawn([sys.executable, "-c", code])
     assert completed.returncode == 0, completed.stderr
     return completed.stdout
 
 
-def test_cli_import_does_not_load_the_evaluators():
+def test_cli_import_does_not_load_the_evaluators(spawn):
     code = "import sys, taguchikit.cli; print('taguchikit.evaluators' in sys.modules)"
-    assert _run_python(code) == "False\n"
+    assert _run_python(spawn, code) == "False\n"
 
 
-def test_validate_does_not_load_yaml(tmp_path):
+def test_importing_the_entry_points_leaves_gc_alone(spawn):
+    code = "import gc, taguchikit.cli, taguchikit.__main__; print(gc.isenabled(), gc.get_freeze_count())"
+    assert _run_python(spawn, code) == "True 0\n"
+
+
+def test_main_leaves_gc_alone(capsys):
+    study = [REPO / "fixtures" / name for name in ("clip_moulding.yaml", "clip_moulding_results.csv")]
+    assert main(["analyze", *map(str, study), "--format", "json"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (True, 0)
+
+
+def test_validate_does_not_load_yaml(tmp_path, spawn):
     prediction = tmp_path / "prediction.json"
     study = [REPO / "fixtures" / name for name in ("clip_moulding.yaml", "clip_moulding_results.csv")]
     argv = ["predict", *map(str, study), "--response", "cycle_time", "--out", str(prediction)]
@@ -61,7 +64,7 @@ def test_validate_does_not_load_yaml(tmp_path):
         f"code = main(['validate', {str(prediction)!r}, '--confirmed', '22.92']); "
         "print(code, 'yaml' in sys.modules)"
     )
-    assert _run_python(code).splitlines()[-1] == "0 False"
+    assert _run_python(spawn, code).splitlines()[-1] == "0 False"
 
 
 def test_each_call_the_benchmark_tracer_wraps_is_still_there():
