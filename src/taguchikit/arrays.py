@@ -1,10 +1,10 @@
 """Catalog and verification of standard orthogonal arrays.
 
-The arrays are stored as literal constants in their canonical published
-row order (not generated at import time) so that run numbers in reports
-always line up with the classical tables. Cells are 0-based level
-indices; user-facing output maps them back to physical values or 1-based
-labels elsewhere.
+Each catalog array is stored as one string of digit rows in its canonical
+published row order, so that run numbers in reports always line up with
+the classical tables; only the array a caller looks up is decoded. Cells
+are 0-based level indices; user-facing output maps them back to physical
+values or 1-based labels elsewhere.
 """
 
 from __future__ import annotations
@@ -124,111 +124,61 @@ def verify_orthogonality(array: OrthogonalArray) -> VerificationReport:
 
 
 # --------------------------------------------------------------------------
-# Catalog: canonical published tables, rows in standard order, 0-based levels.
+# Catalog: canonical published tables as (level count, digit rows), rows in
+# standard order, 0-based levels. An array is decoded, and checked by the
+# OrthogonalArray constructor, only when it is looked up.
 # --------------------------------------------------------------------------
 
-_L4 = (
-    (0, 0, 0),
-    (0, 1, 1),
-    (1, 0, 1),
-    (1, 1, 0),
-)
-
-_L8 = (
-    (0, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 1, 1, 1, 1),
-    (0, 1, 1, 0, 0, 1, 1),
-    (0, 1, 1, 1, 1, 0, 0),
-    (1, 0, 1, 0, 1, 0, 1),
-    (1, 0, 1, 1, 0, 1, 0),
-    (1, 1, 0, 0, 1, 1, 0),
-    (1, 1, 0, 1, 0, 0, 1),
-)
-
-# Nine-run, four-column, three-level array; the workhorse for screening
-# four 3-level process factors (full factorial would need 3^4 = 81 runs).
-_L9 = (
-    (0, 0, 0, 0),
-    (0, 1, 1, 1),
-    (0, 2, 2, 2),
-    (1, 0, 1, 2),
-    (1, 1, 2, 0),
-    (1, 2, 0, 1),
-    (2, 0, 2, 1),
-    (2, 1, 0, 2),
-    (2, 2, 1, 0),
-)
-
-_L16 = (
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1),
-    (0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1),
-    (0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0),
-    (0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1),
-    (0, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0),
-    (0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0),
-    (0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1),
-    (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
-    (1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0),
-    (1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0),
-    (1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1),
-    (1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0),
-    (1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1),
-    (1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1),
-    (1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
-)
-
-# Thirteen 3-level columns in 27 runs. Carried in the catalog for larger
-# screenings; interaction-column assignment is out of scope here.
-_L27 = (
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-    (0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2),
-    (0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 2, 2, 2),
-    (0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 0, 0, 0),
-    (0, 1, 1, 1, 2, 2, 2, 0, 0, 0, 1, 1, 1),
-    (0, 2, 2, 2, 0, 0, 0, 2, 2, 2, 1, 1, 1),
-    (0, 2, 2, 2, 1, 1, 1, 0, 0, 0, 2, 2, 2),
-    (0, 2, 2, 2, 2, 2, 2, 1, 1, 1, 0, 0, 0),
-    (1, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2),
-    (1, 0, 1, 2, 1, 2, 0, 1, 2, 0, 1, 2, 0),
-    (1, 0, 1, 2, 2, 0, 1, 2, 0, 1, 2, 0, 1),
-    (1, 1, 2, 0, 0, 1, 2, 1, 2, 0, 2, 0, 1),
-    (1, 1, 2, 0, 1, 2, 0, 2, 0, 1, 0, 1, 2),
-    (1, 1, 2, 0, 2, 0, 1, 0, 1, 2, 1, 2, 0),
-    (1, 2, 0, 1, 0, 1, 2, 2, 0, 1, 1, 2, 0),
-    (1, 2, 0, 1, 1, 2, 0, 0, 1, 2, 2, 0, 1),
-    (1, 2, 0, 1, 2, 0, 1, 1, 2, 0, 0, 1, 2),
-    (2, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1),
-    (2, 0, 2, 1, 1, 0, 2, 1, 0, 2, 1, 0, 2),
-    (2, 0, 2, 1, 2, 1, 0, 2, 1, 0, 2, 1, 0),
-    (2, 1, 0, 2, 0, 2, 1, 1, 0, 2, 2, 1, 0),
-    (2, 1, 0, 2, 1, 0, 2, 2, 1, 0, 0, 2, 1),
-    (2, 1, 0, 2, 2, 1, 0, 0, 2, 1, 1, 0, 2),
-    (2, 2, 1, 0, 0, 2, 1, 2, 1, 0, 1, 0, 2),
-    (2, 2, 1, 0, 1, 0, 2, 0, 2, 1, 2, 1, 0),
-    (2, 2, 1, 0, 2, 1, 0, 1, 0, 2, 0, 2, 1),
-)
-
-_CATALOG: dict[str, OrthogonalArray] = {
-    "L4": OrthogonalArray("L4", (2,) * 3, _L4),
-    "L8": OrthogonalArray("L8", (2,) * 7, _L8),
-    "L9": OrthogonalArray("L9", (3,) * 4, _L9),
-    "L16": OrthogonalArray("L16", (2,) * 15, _L16),
-    "L27": OrthogonalArray("L27", (3,) * 13, _L27),
+_CATALOG: dict[str, tuple[int, str]] = {
+    "L4": (2, "000 011 101 110"),
+    "L8": (2, "0000000 0001111 0110011 0111100 1010101 1011010 1100110 1101001"),
+    # Nine-run, four-column, three-level array; the workhorse for screening
+    # four 3-level process factors (full factorial would need 3^4 = 81 runs).
+    "L9": (3, "0000 0111 0222 1012 1120 1201 2021 2102 2210"),
+    "L16": (
+        2,
+        "000000000000000 000000011111111 000111100001111 000111111110000 "
+        "011001100110011 011001111001100 011110000111100 011110011000011 "
+        "101010101010101 101010110101010 101101001011010 101101010100101 "
+        "110011001100110 110011010011001 110100101101001 110100110010110",
+    ),
+    # Thirteen 3-level columns in 27 runs. Carried in the catalog for larger
+    # screenings; interaction-column assignment is out of scope here.
+    "L27": (
+        3,
+        "0000000000000 0000111111111 0000222222222 "
+        "0111000111222 0111111222000 0111222000111 "
+        "0222000222111 0222111000222 0222222111000 "
+        "1012012012012 1012120120120 1012201201201 "
+        "1120012120201 1120120201012 1120201012120 "
+        "1201012201120 1201120012201 1201201120012 "
+        "2021021021021 2021102102102 2021210210210 "
+        "2102021102210 2102102210021 2102210021102 "
+        "2210021210102 2210102021210 2210210102021",
+    ),
 }
 
-CATALOG_NAMES: tuple[str, ...] = tuple(sorted(_CATALOG, key=lambda n: _CATALOG[n].runs))
+CATALOG_NAMES: tuple[str, ...] = tuple(sorted(_CATALOG, key=lambda n: _CATALOG[n][1].count(" ")))
+
+
+def _columns(name: str) -> int:
+    """Column count of a catalog array: the length of its first row."""
+    return _CATALOG[name][1].index(" ")
+
+
+def _decode(name: str, columns: int) -> OrthogonalArray:
+    """The catalog array ``name`` cut to its first ``columns`` columns."""
+    levels, rows = _CATALOG[name]
+    return OrthogonalArray(
+        name, (levels,) * columns, [tuple(map(int, row[:columns])) for row in rows.split()]
+    )
 
 
 def get_array(name: str) -> OrthogonalArray:
     """Look up a catalog array by name (e.g. ``"L9"``)."""
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        raise UnknownArrayError(
-            f"unknown array {name!r}; available: {', '.join(CATALOG_NAMES)}"
-        ) from None
+    if name not in _CATALOG:
+        raise UnknownArrayError(f"unknown array {name!r}; available: {', '.join(CATALOG_NAMES)}")
+    return _decode(name, _columns(name))
 
 
 def select_array(factor_count: int, levels: int) -> OrthogonalArray:
@@ -244,23 +194,18 @@ def select_array(factor_count: int, levels: int) -> OrthogonalArray:
         raise CapacityError(f"factor count must be >= 1, got {factor_count}")
     if levels < 2:
         raise CapacityError(f"level count must be >= 2, got {levels}")
-    same_levels = [
-        a for a in (_CATALOG[n] for n in CATALOG_NAMES)
-        if set(a.levels_per_column) == {levels}
-    ]
-    for array in same_levels:  # CATALOG_NAMES is sorted by run count
-        if array.columns >= factor_count:
-            cells = tuple(row[:factor_count] for row in array.cells)
-            return OrthogonalArray(array.name, array.levels_per_column[:factor_count], cells)
+    same_levels = [n for n in CATALOG_NAMES if _CATALOG[n][0] == levels]
+    for name in same_levels:  # CATALOG_NAMES is sorted by run count
+        if _columns(name) >= factor_count:
+            return _decode(name, factor_count)
     if same_levels:
         largest = same_levels[-1]
         raise CapacityError(
             f"no catalog array offers {factor_count} columns with {levels} levels; "
-            f"largest is {largest.name} with {largest.columns} columns"
+            f"largest is {largest} with {_columns(largest)} columns"
         )
     available = ", ".join(
-        f"{q} levels (up to {max(a.columns for a in _CATALOG.values() if set(a.levels_per_column) == {q})} "
-        f"columns)"
-        for q in sorted({a.levels_per_column[0] for a in _CATALOG.values()})
+        f"{q} levels (up to {max(_columns(n) for n in _CATALOG if _CATALOG[n][0] == q)} columns)"
+        for q in sorted({q for q, _ in _CATALOG.values()})
     )
     raise CapacityError(f"no catalog array has {levels}-level columns; available: {available}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -290,6 +289,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    import json  # only validate reads JSON
+
     text = _read_input(args.prediction, "prediction")
     try:
         prediction = reporting.prediction_from_json_dict(json.loads(text))
@@ -359,7 +360,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (TaguchiKitError, OSError) as exc:
-        print(f"error: {str(exc).translate(_ESCAPED_LINE_BREAKS)}", file=sys.stderr)
+        # With fd 2 closed, sys.stderr is None or fails to write: the line is
+        # lost, the exit code is not.
+        if sys.stderr is not None:
+            try:
+                print(f"error: {str(exc).translate(_ESCAPED_LINE_BREAKS)}", file=sys.stderr)
+            except OSError:
+                pass
         return 2
 
 

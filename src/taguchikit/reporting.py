@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from decimal import ROUND_DOWN, ROUND_HALF_UP, Context, Decimal
 
 from taguchikit.analysis import AnalysisReport, Prediction, ResponseAnalysis
 from taguchikit.design import number_label
@@ -36,18 +34,20 @@ SCHEMA_VERSION = 1
 # Display decimals per quantity; callers may override via the precision arg.
 REPORT_PRECISION = {"snr": 2, "mean": 4, "prediction": 4, "error_percent": 2}
 
-# Enough digits for any double (at most 309 integer digits) at up to 15
-# decimals; the default 28-digit context fails on values from 1e24 up.
-_CONTEXT = Context(prec=330)
-
 
 def fixed(x: float, decimals: int, *, truncate: bool = False) -> str:
     """``x`` with exactly ``decimals`` fractional digits: rounded half away from zero,
     or chopped toward zero with ``truncate``.
     """
+    # Imported here, so a command that writes only JSON never loads decimal.
+    from decimal import ROUND_DOWN, ROUND_HALF_UP, Context, Decimal
+
+    # Enough digits for any double (at most 309 integer digits) at up to 15
+    # decimals; the default 28-digit context fails on values from 1e24 up.
+    context = Context(prec=330)
     mode = ROUND_DOWN if truncate else ROUND_HALF_UP
     quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(x)).quantize(quantum, rounding=mode, context=_CONTEXT))
+    return str(Decimal(repr(x)).quantize(quantum, rounding=mode, context=context))
 
 
 def report_to_json_dict(report: AnalysisReport) -> dict:
@@ -103,6 +103,8 @@ def _response_to_json(report: AnalysisReport, analysis: ResponseAnalysis) -> dic
 
 
 def report_to_json(report: AnalysisReport) -> str:
+    import json  # imported by its users, so the text renderers never load it
+
     body = report_to_json_dict(report)
     return json.dumps(body, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
@@ -192,6 +194,8 @@ def main_effects_csv(report: AnalysisReport) -> str:
 
 
 def prediction_to_json(prediction: Prediction) -> str:
+    import json
+
     body = {
         "schema_version": SCHEMA_VERSION,
         "response": prediction.response,

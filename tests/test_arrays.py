@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -30,10 +31,27 @@ L9_PATTERN = (
     (2, 2, 1, 0),
 )
 
+# SHA-256 of repr((levels_per_column, cells)) for each catalog array as
+# published. Balance and orthogonality checks still pass a swapped row, and a
+# swapped row renumbers the runs.
+CATALOG_SHA256 = {
+    "L4": "702765c7d49b8382ab3971ab54c6874d408b60fb6814a35d5d81ee1d840bb9d6",
+    "L8": "7c4add5ec01fdf7aac03bb0b1f8ecc0d4dfea8803b291326d6fa036907ab91d7",
+    "L9": "881fda8395773534d6482af6b35c0e8931a202b7d61aff5c78860aa271c29834",
+    "L16": "0cf94a0e48407d03393ad78694877278f2e08350ae36cfd13a7bfdd4bc90073d",
+    "L27": "bb63b5f282b649d50cb9a81b0f0357106d93569e74f22eef55016521f22e5b03",
+}
+
 
 class TestCatalog:
     def test_catalog_names_sorted_by_run_count(self):
         assert CATALOG_NAMES == ("L4", "L8", "L9", "L16", "L27")
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_SHA256))
+    def test_levels_and_rows_are_pinned(self, name):
+        array = get_array(name)
+        text = repr((array.levels_per_column, array.cells))
+        assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[name]
 
     def test_l9_matches_canonical_pattern(self):
         assert get_array("L9").cells == L9_PATTERN
@@ -61,7 +79,8 @@ class TestCatalog:
         assert set(array.levels_per_column) == {levels}
 
     def test_unknown_name_lists_available(self):
-        with pytest.raises(UnknownArrayError, match="L4.*L27"):
+        message = "^unknown array 'L12'; available: L4, L8, L9, L16, L27$"
+        with pytest.raises(UnknownArrayError, match=message):
             get_array("L12")
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -152,11 +171,16 @@ class TestSelect:
         assert [tuple(row) for row in design.array.cells] == [row[:3] for row in L9_PATTERN]
 
     def test_capacity_error_names_largest(self):
-        with pytest.raises(CapacityError, match="L27"):
+        message = "^no catalog array offers 14 columns with 3 levels; largest is L27 with 13 columns$"
+        with pytest.raises(CapacityError, match=message):
             select_array(14, 3)
 
     def test_unsupported_level_count(self):
-        with pytest.raises(CapacityError, match="no catalog array has 4-level columns"):
+        message = (
+            "^no catalog array has 4-level columns; "
+            r"available: 2 levels \(up to 15 columns\), 3 levels \(up to 13 columns\)$"
+        )
+        with pytest.raises(CapacityError, match=message):
             select_array(3, 4)
 
     def test_invalid_arguments(self):

@@ -736,6 +736,15 @@ class TestTotality:
         completed = spawn(["sh", "-c", '"$0" "$@" >&-', *argv])
         single_os_error(completed, errno.EBADF)
 
+    # With fd 2 closed, CPython on Linux was seen to leave sys.stderr as None
+    # when fd 0 is closed too, and as a stream whose writes fail with EBADF
+    # when it is not.
+    @pytest.mark.parametrize("redirect", ["2>&-", "2>&- <&-"], ids=["stream", "none"])
+    def test_closed_stderr_still_exits_2(self, tmp_path, spawn, redirect):
+        argv = [sys.executable, "-m", "taguchikit", "design", str(tmp_path / "missing.yaml")]
+        completed = spawn(["sh", "-c", f'"$0" "$@" {redirect}', *argv])
+        assert (completed.returncode, completed.stdout) == (2, "")
+
     def test_line_break_in_a_name_stays_on_the_error_line(self, fixture_paths, tmp_path, capsys):
         config, results = fixture_paths
         text = Path(config).read_text(encoding="utf-8")

@@ -9,6 +9,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import taguchikit
 from taguchikit.cli import main
 
@@ -65,6 +67,38 @@ def test_validate_does_not_load_yaml(tmp_path, spawn):
         "print(code, 'yaml' in sys.modules)"
     )
     assert _run_python(spawn, code).splitlines()[-1] == "0 False"
+
+
+def _modules_loaded_by(spawn, argv: list[str]) -> set[str]:
+    """Modules that ``from taguchikit.cli import main`` and ``main(argv)`` load in a fresh interpreter.
+
+    Modules already loaded before that import, by ``site`` for example, are not counted.
+    """
+    code = (
+        "import sys; before = set(sys.modules); from taguchikit.cli import main; "
+        f"code = main({argv!r}); print(code, *sorted(set(sys.modules) - before))"
+    )
+    code, *loaded = _run_python(spawn, code).split()
+    assert code == "0"
+    return set(loaded)
+
+
+STUDY = [str(REPO / "fixtures" / name) for name in ("clip_moulding.yaml", "clip_moulding_results.csv")]
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["design", STUDY[0]], {"json", "decimal"}),
+        (["analyze", *STUDY, "--format", "text"], {"json"}),
+        (["analyze", *STUDY, "--format", "json"], {"decimal"}),
+        (["predict", *STUDY, "--response", "cycle_time", "--format", "json"], {"decimal"}),
+    ],
+    ids=["design", "analyze-text", "analyze-json", "predict-json"],
+)
+def test_command_loads_neither_json_nor_decimal_unless_it_writes_them(tmp_path, spawn, argv, absent):
+    loaded = _modules_loaded_by(spawn, argv + ["--out", str(tmp_path / "out")])
+    assert not absent & loaded
 
 
 def test_each_call_the_benchmark_tracer_wraps_is_still_there():
