@@ -2,8 +2,9 @@
 
 File-based workflow: a declarative YAML project config plus a results CSV
 in, run sheets / reports / predictions out. Identical inputs produce
-byte-identical outputs, and files are written via write-then-rename so an
-error never leaves a partial file behind.
+byte-identical outputs. Each command returns its outputs, and one writer
+puts them out through write-then-rename, so an error leaves none of a
+command's files behind.
 """
 
 from __future__ import annotations
@@ -51,14 +52,15 @@ def _read_input(path: str | Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-# libyaml overflows the C stack near 25,000 levels of nesting, and a text can
-# nest no deeper than it is long; longer texts go to the pure-Python parser,
-# which fails on deep nesting with a RecursionError instead.
+# libyaml overflows the C stack near 25,000 levels of nesting. Each level needs
+# one of the indicators "[{-?:", so a text holding more of them than this may
+# nest too deep and goes to the pure-Python parser, which fails on deep nesting
+# with a RecursionError instead.
 _C_YAML_LIMIT = 4096
 
 
 def _load_yaml(text: str, where: str):
-    """``yaml.safe_load``, through libyaml when it is installed and the text is small.
+    """``yaml.safe_load``, through libyaml when it is installed and the text cannot nest deep.
 
     A text libyaml rejects is parsed again by the pure-Python loader, so the
     error names the same position as without libyaml. PyYAML is imported
@@ -68,7 +70,7 @@ def _load_yaml(text: str, where: str):
 
     loader = getattr(yaml, "CSafeLoader", None)
     try:
-        if loader is not None and len(text) <= _C_YAML_LIMIT:
+        if loader is not None and sum(map(text.count, "[{-?:")) <= _C_YAML_LIMIT:
             try:
                 return yaml.load(text, Loader=loader)
             except yaml.YAMLError:
@@ -192,71 +194,84 @@ def build_design(config: ProjectConfig, array_override: str | None = None) -> tu
     return bind(array, config.factors), note
 
 
-def _write_output(path: str | None, text: str) -> None:
-    """Print to stdout, or atomically replace the target file.
+def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
+    """Write a command's ``(path, text)`` outputs; on any failure, put none of its files in place.
 
-    The file gets the mode ``open(path, "w")`` would give it: an existing
-    target keeps its permission bits, a new one gets ``0o666`` less the umask.
-    The temporary file's name does not grow with the target's; errors name the target.
+    A ``None`` path is stdout. Each file is written to a temporary name beside
+    its target, then stdout is written, then the files are renamed into place
+    in order; a failure removes the temporary files left. A temporary name
+    holds the pid and the output's index, so it does not grow with the
+    target's. A file gets the mode ``open(path, "w")`` would give it: an
+    existing target keeps its permission bits, a new one gets ``0o666`` less
+    the umask. Errors name the target, or ``<stdout>``.
     """
-    if path is None:
-        if sys.stdout is None:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError:
-            # The unwritten bytes stay buffered, and the interpreter's flush at
-            # exit would fail on them again; from now on fd 1 discards them.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise
-        return
-    tmp = os.path.join(os.path.dirname(path), f".taguchikit-{os.getpid()}.tmp")
+    pending: list[tuple[str, str]] = []  # (temporary name, target), not yet renamed
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                if os.path.exists(path):
-                    os.chmod(handle.fileno(), os.stat(path).st_mode & 0o777)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        for index, (target, text) in enumerate(outputs):
+            if target is not None:
+                if os.path.isdir(target):  # refused here, not by a rename after another file is in place
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                tmp = os.path.join(os.path.dirname(target), f".taguchikit-{os.getpid()}-{index}.tmp")
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                pending.append((tmp, target))
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                    if os.path.exists(target):
+                        os.chmod(handle.fileno(), os.stat(target).st_mode & 0o777)
+        target = "<stdout>"
+        for path, text in outputs:
+            if path is None:
+                _write_stdout(text)
+        while pending:
+            target = pending[0][1]
+            os.replace(*pending[0])
+            del pending[0]
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
+        raise OSError(exc.errno, exc.strerror, target) from None
+    except UnicodeEncodeError as exc:  # a stdout that cannot encode the text, or a lone surrogate
+        raise TaguchiKitError(f"{target}: {exc}") from None
+    finally:
+        for tmp, _ in pending:
+            os.unlink(tmp)
 
 
-def _analyze_from_files(config_path: str, results_path: str, array_override: str | None) -> tuple[ProjectConfig, AnalysisReport]:
-    config = load_config(config_path)
-    design, _ = build_design(config, array_override)
+def _write_stdout(text: str) -> None:
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        # The unwritten bytes stay buffered, and the interpreter's flush at
+        # exit would fail on them again; from now on fd 1 discards them.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
+def _analyze_from_files(args: argparse.Namespace) -> tuple[ProjectConfig, AnalysisReport]:
+    config = load_config(args.config)
+    design, _ = build_design(config, args.array)
     names = [r.name for r in config.responses]
     # The text is passed, not kept, so it is freed before analyze builds its lists.
-    results = read_results_csv(_read_input(results_path, "results"), expected_responses=names)
+    results = read_results_csv(_read_input(args.results, "results"), expected_responses=names)
     return config, analyze(design, results, config.responses)
 
 
-def _cmd_design(args: argparse.Namespace) -> int:
+def _cmd_design(args: argparse.Namespace) -> list[tuple[str | None, str]]:
     config = load_config(args.config)
     design, note = build_design(config, args.array)
     sheet = export_run_sheet(design)
-    if note:
-        sheet = f"# {note}\n{sheet}"
-    _write_output(args.out, sheet)
-    return 0
+    return [(args.out, f"# {note}\n{sheet}" if note else sheet)]
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    config, report = _analyze_from_files(args.config, args.results, args.array)
-    if args.plot_data:
-        _write_output(args.plot_data, reporting.main_effects_csv(report))
+def _cmd_analyze(args: argparse.Namespace) -> list[tuple[str | None, str]]:
+    config, report = _analyze_from_files(args)
+    outputs = [(args.plot_data, reporting.main_effects_csv(report))] if args.plot_data else []
     if args.format == "json":
-        _write_output(args.out, reporting.report_to_json(report))
-    else:
-        _write_output(args.out, reporting.report_to_text(report, config.precision))
-    return 0
+        return outputs + [(args.out, reporting.report_to_json(report))]
+    return outputs + [(args.out, reporting.report_to_text(report, config.precision))]
 
 
 def _parse_level_override(design: Design, text: str) -> list[int]:
@@ -275,20 +290,18 @@ def _parse_level_override(design: Design, text: str) -> list[int]:
     return indices
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    config, report = _analyze_from_files(args.config, args.results, args.array)
+def _cmd_predict(args: argparse.Namespace) -> list[tuple[str | None, str]]:
+    config, report = _analyze_from_files(args)
     levels = None
     if args.levels is not None:
         levels = _parse_level_override(report.design, args.levels)
     prediction = predict_optimum(report, args.response, levels)
     if args.format == "text":
-        _write_output(args.out, reporting.prediction_to_text(prediction, config.precision))
-    else:
-        _write_output(args.out, reporting.prediction_to_json(prediction))
-    return 0
+        return [(args.out, reporting.prediction_to_text(prediction, config.precision))]
+    return [(args.out, reporting.prediction_to_json(prediction))]
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> list[tuple[str | None, str]]:
     import json  # only validate reads JSON
 
     text = _read_input(args.prediction, "prediction")
@@ -298,10 +311,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise ConfigError(f"{args.prediction}: {exc}") from None
     confirmed = validate(prediction, args.confirmed)
     if args.format == "json":
-        _write_output(args.out, reporting.prediction_to_json(confirmed))
-    else:
-        _write_output(args.out, reporting.prediction_to_text(confirmed))
-    return 0
+        return [(args.out, reporting.prediction_to_json(confirmed))]
+    return [(args.out, reporting.prediction_to_text(confirmed))]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -358,7 +369,7 @@ _ESCAPED_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _write_outputs(args.handler(args))
     except (TaguchiKitError, OSError) as exc:
         # With fd 2 closed, sys.stderr is None or fails to write: the line is
         # lost, the exit code is not.
@@ -368,6 +379,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError:
                 pass
         return 2
+    return 0
 
 
 def run() -> None:

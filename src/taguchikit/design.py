@@ -181,8 +181,9 @@ def read_results_csv(
     order. Each line, as ``str.splitlines`` cuts them, is one row: blank and
     ``#`` lines are skipped, and a quoted cell may not span lines. The header
     names each column once; each row is as wide as the header, starts with an
-    integer run number and holds a finite number in every other cell. Errors
-    name the row by its line number in the file, and a bad cell by its column.
+    integer run number and holds a finite number in every other cell, each
+    written in ASCII without ``_``. Errors name the row by its line number in
+    the file, and a bad cell by its column.
     """
     lines = chain.from_iterable(map(str.splitlines, _slices(text)))
     for done, line in enumerate(lines, 1):
@@ -247,15 +248,19 @@ def _plain_rows(lines: list[str], width: int) -> tuple[list[int], list[float]]:
     """Lines converted in bulk: their run numbers, and their other cells as row-major values.
 
     Every line must be a plain row: ``width`` cells split at commas, no longer
-    than csv's field limit, an integer first and finite numbers after. A quote,
-    a comment or a blank line fails these. Raises ``ValueError`` at any other
-    line, which leaves skipping and diagnosis to ``_checked_rows``.
+    than csv's field limit, an integer first and finite numbers after, all in
+    ASCII without ``_`` (see ``_parse``). A quote, a comment or a blank line
+    fails these. Raises ``ValueError`` at any other line, which leaves skipping
+    and diagnosis to ``_checked_rows``.
     """
     if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
         raise ValueError("a line of another width")
     if max(map(len, lines)) > csv.field_size_limit():
         raise ValueError("a line that may hold a cell beyond the csv field limit")
-    cells = ",".join(lines).split(",")
+    joined = ",".join(lines)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError("a cell that is not ASCII or holds '_'")
+    cells = joined.split(",")
     numbers = list(map(int, cells[::width]))
     del cells[::width]
     values = list(map(float, cells))
@@ -280,14 +285,14 @@ def _checked_rows(lines: list[str], done: int, header: list[str]) -> tuple[list[
                 f"row {line_number}: expected {len(header)} cells, got {len(row)}"
             )
         try:
-            numbers.append(int(row[0]))
+            numbers.append(_parse(row[0], int))
         except ValueError:
             raise ResultsFormatError(
                 f"row {line_number}, column 'run': not an integer: {row[0]!r}"
             ) from None
         for name, cell in zip(header[1:], row[1:]):
             try:
-                value = float(cell)
+                value = _parse(cell, float)
             except ValueError:
                 raise ResultsFormatError(
                     f"row {line_number}, column {name!r}: not a number: {cell!r}"
@@ -298,6 +303,17 @@ def _checked_rows(lines: list[str], done: int, header: list[str]) -> tuple[list[
                 )
             values.append(value)
     return numbers, values
+
+
+def _parse(cell: str, kind: type) -> int | float:
+    """``kind(cell)`` for a cell in the form a spreadsheet writes: ASCII, without ``_``.
+
+    ``int`` and ``float`` also take digits of other scripts and ``_`` between
+    digits; a table that holds them was not written as numbers.
+    """
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return kind(cell)
 
 
 def _cells(line: str, line_number: int) -> list[str]:

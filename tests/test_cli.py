@@ -420,6 +420,20 @@ class TestConfigParsing:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         assert load_config(fixtures_dir / "clip_moulding.yaml") == clip_config
 
+    def test_long_config_parses_as_a_short_one(self, fixtures_dir, tmp_path, capsys):
+        if getattr(yaml, "CSafeLoader", None) is None:
+            pytest.skip("PyYAML built without libyaml")
+        text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")
+        text = text.replace("array: L9", "array:\tL9")  # libyaml takes the tab, PyYAML does not
+        assert "\t" in text
+        short, padded = tmp_path / "short.yaml", tmp_path / "padded.yaml"
+        short.write_text(text, encoding="utf-8")
+        padded.write_text("# " + "x" * 5000 + "\n" + text, encoding="utf-8")
+        assert main(["design", str(short)]) == 0
+        sheet = capsys.readouterr().out
+        assert main(["design", str(padded)]) == 0
+        assert capsys.readouterr().out == sheet
+
     def test_missing_levels_reports_field_path(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -730,6 +744,68 @@ class TestTotality:
         finally:
             os.close(write_end)
         single_os_error(completed, errno.EPIPE)
+
+    @pytest.mark.parametrize("unwritable", ["--out", "--plot-data"])
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_failing_output_leaves_no_other_file(
+        self, fixture_paths, tmp_path, capsys, unwritable, kind
+    ):
+        paths = {"--out": tmp_path / "report.json", "--plot-data": tmp_path / "effects.csv"}
+        if kind == "directory":
+            paths[unwritable].mkdir()
+        else:
+            paths[unwritable] = tmp_path / "missing" / paths[unwritable].name
+        argv = ["analyze", *fixture_paths, "--format", "json"]
+        argv += [arg for option, path in paths.items() for arg in (option, str(path))]
+        assert main(argv) == 2
+        assert str(paths[unwritable]) in single_error(capsys)
+        assert list(tmp_path.rglob("*")) == ([paths[unwritable]] if kind == "directory" else [])
+
+    def test_broken_pipe_stdout_leaves_no_plot_data(self, fixture_paths, tmp_path, spawn):
+        argv = [sys.executable, "-m", "taguchikit", "analyze", *fixture_paths]
+        argv += ["--plot-data", "effects.csv"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = spawn(argv, stdout=write_end, cwd=tmp_path)
+        finally:
+            os.close(write_end)
+        single_os_error(completed, errno.EPIPE)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_ascii_stdout_is_one_error_line(
+        self, fixture_paths, fixtures_dir, tmp_path, spawn, capsys, form
+    ):
+        argv = ["env", "PYTHONIOENCODING=ascii", sys.executable, "-m", "taguchikit"]
+        argv += ["analyze", *fixture_paths, "--format", form]
+        completed = spawn(argv + ["--plot-data", str(tmp_path / "effects.csv")])
+        assert (completed.returncode, completed.stdout) == (2, "")
+        lines = completed.stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: <stdout>: 'ascii' codec can't encode character '\\xb0'")
+        assert list(tmp_path.iterdir()) == []
+        report = tmp_path / "report"
+        assert spawn(argv + ["--out", str(report)]).returncode == 0
+        if form == "json":
+            assert report.read_bytes() == (fixtures_dir / "expected_report.json").read_bytes()
+        assert main(["analyze", *fixture_paths, "--format", form]) == 0
+        assert report.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_lone_surrogate_in_a_prediction_is_one_error_line(
+        self, fixture_paths, tmp_path, capsys, form
+    ):
+        document, out = tmp_path / "prediction.json", tmp_path / "confirmed"
+        predict = ["predict", *fixture_paths, "--response", "cycle_time", "--out", str(document)]
+        assert main(predict) == 0
+        body = json.loads(document.read_text(encoding="utf-8"))
+        document.write_text(json.dumps({**body, "response": "\ud800"}), encoding="utf-8")
+        validate = ["validate", str(document), "--confirmed", "22.92", "--format", form]
+        assert main(validate + ["--out", str(out)]) == 2
+        message = single_error(capsys)
+        assert message.startswith(f"error: {out}: 'utf-8' codec can't encode character '\\ud800'")
+        assert sorted(tmp_path.iterdir()) == [document]
 
     def test_closed_stdout_is_one_error_line(self, fixture_paths, spawn):
         argv = [sys.executable, "-m", "taguchikit", "design", fixture_paths[0]]

@@ -145,6 +145,23 @@ class TestRunSheetCsv:
         with pytest.raises(ResultsFormatError, match=r"^row 2, column 'a': not a number: 'oops'$"):
             read_results_csv("run,a\n1,oops\n")
 
+    # int() and float() take these too: digits of other scripts, and "_" between digits.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("run,a\n1,1_0\n1,\uff11\uff12\n", "row 2, column 'a': not a number: '1_0'"),
+            ("run,a\n1,\uff11\uff12\n", "row 2, column 'a': not a number: '\uff11\uff12'"),
+            ("run,a\n1_0,1\n", "row 2, column 'run': not an integer: '1_0'"),
+            ("run,a\n\u0661,1\n", "row 2, column 'run': not an integer: '\u0661'"),
+            ("run,a\n" + "1,1\n" * 1500 + "2,1_5\n", "row 1502, column 'a': not a number: '1_5'"),
+        ],
+        ids=["underscore", "fullwidth", "run-underscore", "run-arabic-indic", "deep-in-a-batch"],
+    )
+    def test_number_only_in_the_form_a_spreadsheet_writes(self, text, message):
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv(text)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_rejects_non_finite_setting(self, cell):
         message = rf"^row 3, column 'b \(s\)': not a finite number: '{cell}'$"
