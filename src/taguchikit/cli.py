@@ -13,6 +13,7 @@ import argparse
 import errno
 import gc
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +28,7 @@ from taguchikit.analysis import (
     validate,
 )
 from taguchikit.arrays import get_array, select_array
-from taguchikit.design import Design, Factor, _repeated, bind, export_run_sheet, read_results_csv
+from taguchikit.design import Design, Factor, _parse, _repeated, bind, export_run_sheet, read_results_csv
 from taguchikit.errors import ConfigError, TaguchiKitError
 from taguchikit.reporting import _is_number
 
@@ -177,7 +178,7 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
 
 def build_design(config: ProjectConfig, array_override: str | None = None) -> tuple[Design, str | None]:
     """Bind the configured factors; returns the design and an auto-selection note."""
-    name = array_override or config.array
+    name = config.array if array_override is None else array_override
     note = None
     if name == "auto":
         level_counts = {len(f.levels) for f in config.factors}
@@ -197,41 +198,53 @@ def build_design(config: ProjectConfig, array_override: str | None = None) -> tu
 def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     """Write a command's ``(path, text)`` outputs; on any failure, put none of its files in place.
 
-    A ``None`` path is stdout. Each file is written to a temporary name beside
-    its target, then stdout is written, then the files are renamed into place
-    in order; a failure removes the temporary files left. A temporary name
-    holds the pid and the output's index, so it does not grow with the
-    target's. A file gets the mode ``open(path, "w")`` would give it: an
-    existing target keeps its permission bits, a new one gets ``0o666`` less
-    the umask. Errors name the target, or ``<stdout>``.
+    A ``None`` path is stdout. Each target is resolved once, and only that path
+    is used: a file lands where ``open(target, "w")`` would put it, through a
+    symlink, with the mode it would give (an existing file keeps its permission
+    bits, a new one gets ``0o666`` less the umask). Two targets may not resolve
+    to one file. Each file is written to a temporary name of pid and index beside
+    it, then stdout, then the files are renamed into place in order; a failure
+    removes the temporary files left. Errors name the target as given, or ``<stdout>``.
     """
-    pending: list[tuple[str, str]] = []  # (temporary name, target), not yet renamed
+    pending: list[tuple[str, str, str]] = []  # (temporary name, path, target), not yet renamed
     try:
-        for index, (target, text) in enumerate(outputs):
+        files: dict[str, tuple[str, str]] = {}  # resolved path: (target, text)
+        for target, text in outputs:
             if target is not None:
-                if os.path.isdir(target):  # refused here, not by a rename after another file is in place
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                tmp = os.path.join(os.path.dirname(target), f".taguchikit-{os.getpid()}-{index}.tmp")
-                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                pending.append((tmp, target))
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                    if os.path.exists(target):
-                        os.chmod(handle.fileno(), os.stat(target).st_mode & 0o777)
+                if not target:  # as open("") fails; realpath("") is the cwd
+                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+                path = os.path.realpath(target)
+                if path in files:
+                    raise TaguchiKitError(f"two outputs name the same file: {target}")
+                files[path] = target, text
+        for index, (path, (target, text)) in enumerate(files.items()):
+            try:
+                mode = os.stat(path).st_mode  # a symlink loop fails here, as in open()
+            except FileNotFoundError:
+                mode = 0  # a new file: os.open gives it 0o666 less the umask
+            if stat.S_ISDIR(mode):  # refused here, not by a rename after another file is in place
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            tmp = os.path.join(os.path.dirname(path), f".taguchikit-{os.getpid()}-{index}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            pending.append((tmp, path, target))
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                if mode:
+                    os.chmod(handle.fileno(), mode & 0o777)
         target = "<stdout>"
         for path, text in outputs:
             if path is None:
                 _write_stdout(text)
         while pending:
-            target = pending[0][1]
-            os.replace(*pending[0])
+            tmp, path, target = pending[0]
+            os.replace(tmp, path)
             del pending[0]
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, target) from None
     except UnicodeEncodeError as exc:  # a stdout that cannot encode the text, or a lone surrogate
         raise TaguchiKitError(f"{target}: {exc}") from None
     finally:
-        for tmp, _ in pending:
+        for tmp, _, _ in pending:
             os.unlink(tmp)
 
 
@@ -268,33 +281,28 @@ def _cmd_design(args: argparse.Namespace) -> list[tuple[str | None, str]]:
 
 def _cmd_analyze(args: argparse.Namespace) -> list[tuple[str | None, str]]:
     config, report = _analyze_from_files(args)
-    outputs = [(args.plot_data, reporting.main_effects_csv(report))] if args.plot_data else []
+    outputs = [] if args.plot_data is None else [(args.plot_data, reporting.main_effects_csv(report))]
     if args.format == "json":
         return outputs + [(args.out, reporting.report_to_json(report))]
     return outputs + [(args.out, reporting.report_to_text(report, config.precision))]
 
 
-def _parse_level_override(design: Design, text: str) -> list[int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != len(design.factors):
-        raise ConfigError(
-            f"--levels needs {len(design.factors)} comma-separated values, got {len(parts)}"
-        )
-    indices = []
-    for factor, part in zip(design.factors, parts):
-        try:
-            value = float(part)
-        except ValueError:
-            raise ConfigError(f"--levels: {part!r} is not a number") from None
-        indices.append(factor.level_index(value))
-    return indices
+def _number(option: str, text: str) -> float:
+    """A number typed for ``option``, read by the results reader's rule."""
+    try:
+        return _parse(text, float)
+    except ValueError:
+        raise ConfigError(f"{option}: {text!r} is not a number") from None
 
 
 def _cmd_predict(args: argparse.Namespace) -> list[tuple[str | None, str]]:
     config, report = _analyze_from_files(args)
     levels = None
     if args.levels is not None:
-        levels = _parse_level_override(report.design, args.levels)
+        factors, parts = report.design.factors, args.levels.split(",")
+        if len(parts) != len(factors):
+            raise ConfigError(f"--levels needs {len(factors)} comma-separated values, got {len(parts)}")
+        levels = [f.level_index(_number("--levels", p.strip())) for f, p in zip(factors, parts)]
     prediction = predict_optimum(report, args.response, levels)
     if args.format == "text":
         return [(args.out, reporting.prediction_to_text(prediction, config.precision))]
@@ -304,12 +312,13 @@ def _cmd_predict(args: argparse.Namespace) -> list[tuple[str | None, str]]:
 def _cmd_validate(args: argparse.Namespace) -> list[tuple[str | None, str]]:
     import json  # only validate reads JSON
 
+    confirmation = _number("--confirmed", args.confirmed)
     text = _read_input(args.prediction, "prediction")
     try:
         prediction = reporting.prediction_from_json_dict(json.loads(text))
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{args.prediction}: {exc}") from None
-    confirmed = validate(prediction, args.confirmed)
+    confirmed = validate(prediction, confirmation)
     if args.format == "json":
         return [(args.out, reporting.prediction_to_json(confirmed))]
     return [(args.out, reporting.prediction_to_text(confirmed))]
@@ -345,7 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--response", required=True, help="response to predict")
     p_predict.add_argument(
         "--levels",
-        help="comma-separated physical values, one per factor (default: per-response optimum)",
+        help="comma-separated physical values, one per factor (default: per-response optimum);"
+        " a list that starts with a negative value is written --levels=-1.25,0.5",
     )
     p_predict.add_argument("--format", choices=("json", "text"), default="json")
     p_predict.set_defaults(handler=_cmd_predict)
@@ -354,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate", parents=[out], help="compare a prediction with a confirmation run"
     )
     p_validate.add_argument("prediction", help="prediction JSON from 'predict'")
-    p_validate.add_argument("--confirmed", type=float, required=True, help="measured confirmation value")
+    p_validate.add_argument("--confirmed", required=True, help="measured confirmation value")
     p_validate.add_argument("--format", choices=("json", "text"), default="text")
     p_validate.set_defaults(handler=_cmd_validate)
 

@@ -8,6 +8,8 @@ import io
 import json
 import os
 import re
+import shlex
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -178,6 +180,48 @@ class TestDesignCommand:
         assert single_error(capsys) == f"error: {plain.value}"
         assert target in str(plain.value)
 
+    def test_empty_array_override_is_an_unknown_array(self, fixture_paths, capsys):
+        config, _ = fixture_paths
+        assert main(["design", config, "--array", ""]) == 2
+        assert single_error(capsys) == "error: unknown array ''; available: L4, L8, L9, L16, L27"
+
+    def test_out_writes_through_a_symlink(self, fixture_paths, tmp_path, capsys):
+        config, _ = fixture_paths
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n", encoding="utf-8")
+        real.chmod(0o640)
+        link.symlink_to("real.csv")
+        assert main(["design", config]) == 0
+        sheet = capsys.readouterr().out
+        assert main(["design", config, "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == "real.csv"
+        assert real.read_text(encoding="utf-8") == sheet
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_out_through_a_dangling_symlink_creates_its_target(self, fixture_paths, tmp_path):
+        config, _ = fixture_paths
+        link = tmp_path / "link.csv"
+        link.symlink_to("new.csv")
+        assert main(["design", config, "--out", str(link)]) == 0
+        assert main(["design", config, "--out", str(tmp_path / "plain.csv")]) == 0
+        assert link.is_symlink() and os.readlink(link) == "new.csv"
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        (tmp_path / "plain.csv").unlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "new.csv"]
+
+    def test_out_symlink_loop_fails_as_a_plain_write(self, fixture_paths, tmp_path, capsys):
+        config, _ = fixture_paths
+        loop = tmp_path / "loop.csv"
+        loop.symlink_to("loop.csv")
+        with pytest.raises(OSError) as plain:
+            open(loop, "w")
+        assert plain.value.errno == errno.ELOOP
+        assert main(["design", config, "--out", str(loop)]) == 2
+        assert single_error(capsys) == f"error: {plain.value}"
+        assert loop.is_symlink() and os.readlink(loop) == "loop.csv"
+        assert list(tmp_path.iterdir()) == [loop]
+
 
 class TestAnalyzeCommand:
     def test_json_report_is_deterministic_and_frozen(self, fixture_paths, fixtures_dir, capsys):
@@ -219,6 +263,42 @@ class TestAnalyzeCommand:
         lines = target.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "response,factor,level,mean"
         assert len(lines) == 1 + 12 * 2
+
+    @pytest.mark.parametrize("option", ["--plot-data", "--out"])
+    def test_empty_output_name_fails_as_a_plain_write(
+        self, fixture_paths, tmp_path, capsys, monkeypatch, option
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError) as plain:
+            open("", "w")
+        assert main(["analyze", *fixture_paths, option, ""]) == 2
+        assert single_error(capsys) == f"error: {plain.value}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_plot_data_name_too_long_fails_before_stdout(self, fixture_paths, tmp_path, capsys):
+        target = str(tmp_path / ("e" * 300))
+        with pytest.raises(OSError) as plain:
+            open(target, "w")
+        assert main(["analyze", *fixture_paths, "--plot-data", target]) == 2
+        assert single_error(capsys) == f"error: {plain.value}"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("linked", [False, True])
+    def test_two_outputs_naming_one_file_fail(self, fixture_paths, tmp_path, capsys, linked):
+        out, plot_data = tmp_path / "link.csv", tmp_path / "real.csv"
+        if linked:
+            plot_data.write_text("old\n", encoding="utf-8")
+            out.symlink_to("real.csv")
+        else:
+            out = plot_data = tmp_path / "same.out"
+        argv = ["analyze", *fixture_paths, "--out", str(out), "--plot-data", str(plot_data)]
+        assert main(argv) == 2
+        assert single_error(capsys) == f"error: two outputs name the same file: {out}"
+        if linked:
+            assert plot_data.read_text(encoding="utf-8") == "old\n" and out.is_symlink()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+        else:
+            assert list(tmp_path.iterdir()) == []
 
     def test_incomplete_results_fail_without_partial_output(self, fixture_paths, tmp_path, capsys):
         config, _ = fixture_paths
@@ -367,6 +447,19 @@ class TestPredictCommand:
         assert main(argv) == 2
         assert single_error(capsys) == "error: --levels: 'hot' is not a number"
 
+    @pytest.mark.parametrize("typed", ["7_5", "７５"])
+    def test_level_follows_the_results_number_rule(self, fixture_paths, capsys, typed):
+        argv = ["predict", *fixture_paths, "--response", "cycle_time", "--levels", f"{typed},215,47,3.5"]
+        assert main(argv) == 2
+        assert single_error(capsys) == f"error: --levels: {typed!r} is not a number"
+
+    def test_negative_first_level_reaches_the_level_lookup(self, fixture_paths, capsys):
+        argv = ["predict", *fixture_paths, "--response", "cycle_time", "--levels=-75,215,47,3.5"]
+        assert main(argv) == 2
+        assert single_error(capsys) == (
+            "error: -75 is not a level of 'mould_temperature' (levels: 75, 80, 85)"
+        )
+
 
 class TestValidateCommand:
     @pytest.fixture
@@ -401,6 +494,16 @@ class TestValidateCommand:
         predicted = json.loads(prediction_file.read_text(encoding="utf-8"))["predicted"]
         assert main(["validate", str(prediction_file), "--confirmed", str(predicted)]) == 0
         assert "error: 0.00 %" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("typed", ["２２.９２", "2_2.92", "abc"])
+    def test_confirmed_follows_the_results_number_rule(self, prediction_file, capsys, typed):
+        assert main(["validate", str(prediction_file), "--confirmed", typed]) == 2
+        assert single_error(capsys) == f"error: --confirmed: {typed!r} is not a number"
+
+    def test_confirmed_is_read_before_the_prediction(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["validate", missing, "--confirmed", "abc"]) == 2
+        assert single_error(capsys) == "error: --confirmed: 'abc' is not a number"
 
     def test_rejects_non_prediction_file(self, tmp_path, capsys):
         bogus = tmp_path / "not_a_prediction.json"
@@ -1101,3 +1204,20 @@ def test_readme_library_example_runs(spawn):
     assert "fit_surrogate(report" in example
     completed = spawn([sys.executable, "-c", example], cwd=REPO)
     assert completed.returncode == 0, completed.stderr
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, spawn):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```sh\n", readme.index("## CLI walkthrough")) + len("```sh\n")
+    lines = readme[start:readme.index("```\n", start)].replace("\\\n", "").splitlines()
+    commands = [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
+    assert len(commands) == 7 and all(argv[0] == "taguchikit" for argv in commands)
+    shutil.copytree(REPO / "fixtures", tmp_path / "fixtures")
+    outputs = []
+    for argv in commands:
+        completed = spawn([sys.executable, "-m", *argv], cwd=tmp_path)
+        assert completed.returncode == 0, (argv, completed.stderr)
+        outputs.append(completed.stdout)
+    # The text predict is at run 1's levels; validate restates the optimum's prediction.
+    assert "predicted: 49.4161 s" in outputs[5]
+    assert "predicted: 21.2575 s" in outputs[6] and "error: 7.25 %" in outputs[6]
