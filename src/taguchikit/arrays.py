@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, product
 from math import prod
 
@@ -73,6 +74,21 @@ class OrthogonalArray:
     def columns(self) -> int:
         return len(self.levels_per_column)
 
+    @cached_property
+    def _report(self) -> VerificationReport:
+        """The :func:`verify_orthogonality` report, counted on first use and kept."""
+        columns = tuple(zip(*self.cells))
+        levels = self.levels_per_column
+        indices = range(len(levels))
+        found: dict[int, list[Violation]] = {1: [], 2: []}
+        for group in chain(combinations(indices, 1), combinations(indices, 2)):
+            counts = Counter(zip(*(columns[j] for j in group)))
+            expected = self.runs / prod(levels[j] for j in group)
+            for key in product(*(range(levels[j]) for j in group)):
+                if counts[key] != expected:
+                    found[len(group)].append(Violation(group, key, counts[key], expected))
+        return VerificationReport(balance_violations=tuple(found[1]), pair_violations=tuple(found[2]))
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -108,19 +124,10 @@ def verify_orthogonality(array: OrthogonalArray) -> VerificationReport:
 
     A ragged matrix or an out-of-range cell is already rejected by the
     :class:`OrthogonalArray` constructor, so every array reaching this
-    check can be counted.
+    check can be counted. The array is immutable, so it is counted once:
+    later calls return the same report.
     """
-    columns = tuple(zip(*array.cells))
-    levels = array.levels_per_column
-    indices = range(len(levels))
-    found: dict[int, list[Violation]] = {1: [], 2: []}
-    for group in chain(combinations(indices, 1), combinations(indices, 2)):
-        counts = Counter(zip(*(columns[j] for j in group)))
-        expected = array.runs / prod(levels[j] for j in group)
-        for key in product(*(range(levels[j]) for j in group)):
-            if counts[key] != expected:
-                found[len(group)].append(Violation(group, key, counts[key], expected))
-    return VerificationReport(balance_violations=tuple(found[1]), pair_violations=tuple(found[2]))
+    return array._report
 
 
 # --------------------------------------------------------------------------

@@ -202,9 +202,11 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     is used: a file lands where ``open(target, "w")`` would put it, through a
     symlink, with the mode it would give (an existing file keeps its permission
     bits, a new one gets ``0o666`` less the umask). Two targets may not resolve
-    to one file. Each file is written to a temporary name of pid and index beside
-    it, then stdout, then the files are renamed into place in order; a failure
-    removes the temporary files left. Errors name the target as given, or ``<stdout>``.
+    to one path, nor be hard links to one existing file. Each file is written to
+    a temporary name of pid and index beside it, then stdout, then the files are
+    renamed into place in order; a failure removes the temporary files left. The
+    rename replaces a hard-linked target's directory entry, so the file's other
+    names keep the old content. Errors name the target as given, or ``<stdout>``.
     """
     pending: list[tuple[str, str, str]] = []  # (temporary name, path, target), not yet renamed
     try:
@@ -217,11 +219,17 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
                 if path in files:
                     raise TaguchiKitError(f"two outputs name the same file: {target}")
                 files[path] = target, text
+        inodes: set[tuple[int, int]] = set()  # (st_dev, st_ino) of the existing targets
         for index, (path, (target, text)) in enumerate(files.items()):
             try:
-                mode = os.stat(path).st_mode  # a symlink loop fails here, as in open()
+                info = os.stat(path)  # a symlink loop fails here, as in open()
             except FileNotFoundError:
                 mode = 0  # a new file: os.open gives it 0o666 less the umask
+            else:
+                mode = info.st_mode
+                if (info.st_dev, info.st_ino) in inodes:  # two hard links to one file
+                    raise TaguchiKitError(f"two outputs name the same file: {target}")
+                inodes.add((info.st_dev, info.st_ino))
             if stat.S_ISDIR(mode):  # refused here, not by a rename after another file is in place
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             tmp = os.path.join(os.path.dirname(path), f".taguchikit-{os.getpid()}-{index}.tmp")

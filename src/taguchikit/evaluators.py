@@ -4,8 +4,10 @@ Two desk-scale evaluators cover what a press or a finite-element run
 would normally answer: :class:`TableEvaluator` replays recorded results
 for exactly the combinations that were run, and :class:`SurrogateEvaluator`
 extends a balanced screening to every level combination through the same
-additive model used for optimum prediction. Both are immutable and safe
-to share across threads.
+additive model used for optimum prediction. A surrogate computes its
+lookup tables once, when it is built: a map from each factor's level
+values to their indices, and each level mean's offset from the grand
+mean. Both evaluators are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -97,10 +99,29 @@ class SurrogateEvaluator:
     factors: tuple[Factor, ...]
     level_means: tuple[tuple[float, ...], ...]
 
+    def __post_init__(self) -> None:
+        grand = self.grand_mean
+        object.__setattr__(self, "_names", tuple(factor.name for factor in self.factors))
+        object.__setattr__(
+            self, "_indices", tuple({v: i for i, v in enumerate(f.levels)} for f in self.factors)
+        )
+        object.__setattr__(
+            self, "_offsets", tuple([tuple([m - grand for m in row]) for row in self.level_means])
+        )
+
     def evaluate(self, settings: Mapping[str, float]) -> float:
-        key = _settings_key(settings, [factor.name for factor in self.factors])
-        levels = map(Factor.level_index, self.factors, key)
-        return _additive_sum(self.grand_mean, self.level_means, levels)
+        """``g + sum_f (m[f][L_f] - g)`` with the terms taken from the tables, in factor order.
+
+        The sum is :func:`_additive_sum`'s to the last bit. A value that is
+        not a level is looked up by :meth:`Factor.level_index`, which names it.
+        """
+        key = _settings_key(settings, self._names)
+        try:
+            terms = [row[index[v]] for row, index, v in zip(self._offsets, self._indices, key)]
+        except KeyError:
+            levels = map(Factor.level_index, self.factors, key)
+            return _additive_sum(self.grand_mean, self.level_means, levels)
+        return self.grand_mean + sum(terms)
 
 
 def fit_surrogate(report: AnalysisReport, response: str) -> SurrogateEvaluator:

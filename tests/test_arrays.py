@@ -121,6 +121,17 @@ class TestVerify:
         assert report.passed
         assert report.pair_violations == ()
 
+    def test_report_is_counted_once_per_array(self):
+        array = get_array("L9")
+        assert verify_orthogonality(array) is verify_orthogonality(array)
+
+    def test_equal_arrays_built_apart_give_equal_reports(self):
+        first, second = (OrthogonalArray("lopsided", (2,), ((0,), (0,), (1,))) for _ in range(2))
+        report = verify_orthogonality(first)  # the kept report is no field of the array
+        assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+        assert not report.passed
+        assert verify_orthogonality(second) == report
+
     # A structurally broken matrix never reaches the check: the constructor refuses it.
     def test_ragged_matrix_is_structural_error(self):
         with pytest.raises(ArrayStructureError, match="ragged"):

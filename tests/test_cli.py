@@ -283,19 +283,24 @@ class TestAnalyzeCommand:
         assert single_error(capsys) == f"error: {plain.value}"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("linked", [False, True])
+    @pytest.mark.parametrize("linked", [False, True, "hard"])
     def test_two_outputs_naming_one_file_fail(self, fixture_paths, tmp_path, capsys, linked):
         out, plot_data = tmp_path / "link.csv", tmp_path / "real.csv"
         if linked:
             plot_data.write_text("old\n", encoding="utf-8")
-            out.symlink_to("real.csv")
+            if linked == "hard":
+                out.hardlink_to(plot_data)
+            else:
+                out.symlink_to("real.csv")
         else:
             out = plot_data = tmp_path / "same.out"
         argv = ["analyze", *fixture_paths, "--out", str(out), "--plot-data", str(plot_data)]
         assert main(argv) == 2
         assert single_error(capsys) == f"error: two outputs name the same file: {out}"
         if linked:
-            assert plot_data.read_text(encoding="utf-8") == "old\n" and out.is_symlink()
+            assert out.is_symlink() is (linked is True)
+            for path in (plot_data, out):
+                assert path.read_text(encoding="utf-8") == "old\n"
             assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
         else:
             assert list(tmp_path.iterdir()) == []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from itertools import product
 from statistics import fmean
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taguchikit.analysis import Objective, ResponseSpec, analyze, predict_optimum
-from taguchikit.arrays import OrthogonalArray
+from taguchikit.arrays import OrthogonalArray, get_array, select_array, verify_orthogonality
 from taguchikit.design import Factor, RunResult, bind
 from taguchikit.errors import (
     CombinationNotCoveredError,
@@ -133,8 +135,12 @@ class TestSurrogate:
         design = bind(lopsided, (Factor("x", "", (1.0, 2.0)),))
         results = [RunResult(n, {"y": (float(n),)}) for n in (1, 2, 3)]
         report = analyze(design, results, (ResponseSpec("y", "", Objective.SMALLER_IS_BETTER),))
-        with pytest.raises(UnbalancedDesignError, match="column"):
-            fit_surrogate(report, "y")
+        messages = []
+        for _ in range(2):  # the second fit reads the array's kept report
+            with pytest.raises(UnbalancedDesignError) as raised:
+                fit_surrogate(report, "y")
+            messages.append(str(raised.value))
+        assert messages == ["surrogate requires a balanced design; unbalanced column(s): 1"] * 2
 
     def test_unfitted_level_value_rejected(self, clip_report):
         surrogate = fit_surrogate(clip_report, "cycle_time")
@@ -148,6 +154,65 @@ class TestSurrogate:
                     "holding_time": 3.5,
                 }
             )
+
+    @pytest.mark.parametrize(
+        ("point", "levels"),
+        [
+            ({"z": -0.0, "w": 48.0}, (0, 1)),
+            ({"z": 1.0, "w": 47}, (1, 0)),
+            ({"z": 0.5, "w": 47.0}, r"^0\.5 is not a level of 'z' \(levels: 0, 1\)$"),
+        ],
+        ids=["negative_zero", "int_for_float", "between_levels"],
+    )
+    def test_level_lookup_matches_level_index(self, point, levels):
+        """The surrogate's level map finds what ``Factor.level_index`` finds, and misses what it misses."""
+        factors = (Factor("z", "", (0.0, 1.0)), Factor("w", "", (47.0, 48.0)))
+        design = bind(select_array(2, 2), factors)
+        results = [RunResult(n, {"y": (float(n) ** 2,)}) for n in range(1, 5)]
+        report = analyze(design, results, (ResponseSpec("y", "", Objective.SMALLER_IS_BETTER),))
+        surrogate = fit_surrogate(report, "y")
+        if isinstance(levels, str):
+            with pytest.raises(InvalidLevelError, match=levels):
+                factors[0].level_index(point["z"])
+            with pytest.raises(InvalidLevelError, match=levels):
+                surrogate.evaluate(point)
+        else:
+            assert tuple(map(Factor.level_index, factors, point.values())) == levels
+            assert surrogate.evaluate(point) == predict_optimum(report, "y", levels).predicted
+
+    def test_threads_share_a_surrogate_and_an_unverified_array(
+        self, clip_design, clip_results, clip_config, clip_report
+    ):
+        """Threads racing to the first count of an array's report, and sweeping one shared surrogate, agree."""
+        design = bind(get_array("L9"), clip_design.factors)  # a new array: its report is not counted yet
+        report = analyze(design, clip_results, clip_config.responses)
+        shared = fit_surrogate(clip_report, "cycle_time")
+        combos = [
+            dict(zip(design.factor_names, levels))
+            for levels in product(*(f.levels for f in design.factors))
+        ]
+        expected = [shared.evaluate(combo) for combo in combos]
+        reports, sweeps = [], []
+
+        def work():
+            reports.append(verify_orthogonality(design.array))
+            fitted = fit_surrogate(report, "cycle_time")
+            sweeps.append([fitted.evaluate(combo) for combo in combos])
+            sweeps.append([shared.evaluate(combo) for combo in combos])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sweeps == [expected] * 16
+        assert len(reports) == 8 and all(r == reports[0] for r in reports) and reports[0].passed
 
 
 class TestSurrogateAgreesWithPrediction:
