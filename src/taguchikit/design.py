@@ -209,7 +209,8 @@ def read_results_csv(
             )
     width = len(responses)
     # Each run's rows laid end to end; response i is every width-th value from i. Zipping
-    # one iterator over the values ``width`` times cuts them into rows.
+    # one iterator over the values ``width`` times cuts them into rows. ``get``, not
+    # ``setdefault``, which would build and drop an empty list for every row.
     flat: dict[int, list[float]] = {}
     while batch := list(islice(lines, _BATCH_LINES)):
         try:
@@ -217,7 +218,11 @@ def read_results_csv(
         except ValueError:
             numbers, values = _checked_rows(batch, done, header)
         for number, row in zip(numbers, zip(*[iter(values)] * width)):
-            flat.setdefault(number, []).extend(row)
+            got = flat.get(number)
+            if got is None:
+                flat[number] = list(row)
+            else:
+                got += row
         done += len(batch)
     results = []
     for number in sorted(flat):
@@ -261,7 +266,9 @@ def _plain_rows(lines: list[str], width: int) -> tuple[list[int], list[float]]:
     if not joined.isascii() or "_" in joined:
         raise ValueError("a cell that is not ASCII or holds '_'")
     cells = joined.split(",")
-    numbers = list(map(int, cells[::width]))
+    # A batch names few runs: each distinct run cell is parsed once.
+    parsed = {key: int(key) for key in dict.fromkeys(cells[::width])}
+    numbers = list(map(parsed.__getitem__, cells[::width]))
     del cells[::width]
     values = list(map(float, cells))
     # A finite sum has only finite terms.

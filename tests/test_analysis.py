@@ -241,6 +241,71 @@ class TestSplitReplicates:
             assert replayed == list(analysis.run_means)
 
 
+@st.composite
+def scattered_results(draw, design, names):
+    """Per run and response 1-4 replicates, scattered over 1-5 results per run. A result
+    may carry only some of the responses, its keys in any order; the results are shuffled."""
+    results = []
+    for run in design.runs:
+        carried: list[dict[str, list[float]]] = [{} for _ in range(draw(st.integers(1, 5)))]
+        for name in names:
+            for y in draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4)):
+                carried[draw(st.integers(0, len(carried) - 1))].setdefault(name, []).append(y)
+        for values in filter(None, carried):
+            order = draw(st.permutations(list(values)))
+            results.append(RunResult(run.number, {name: values[name] for name in order}))
+    return draw(st.permutations(results))
+
+
+def naive_grouping(design, results):
+    """Each design run's replicates per response, in the order they first appear, by one
+    scan of every result per run."""
+    grouped = []
+    for run in design.runs:
+        values: dict[str, tuple[float, ...]] = {}
+        for result in results:
+            if result.run_number == run.number:
+                for name, ys in result.values.items():
+                    values[name] = values.get(name, ()) + ys
+        grouped.append(values)
+    return grouped
+
+
+class TestGroupingProperty:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_analysis_and_table_group_as_a_naive_scan_does(self, clip_design, clip_config, data):
+        names = [spec.name for spec in clip_config.responses]
+        results = data.draw(scattered_results(clip_design, names))
+        grouped = naive_grouping(clip_design, results)
+        merged = [RunResult(run.number, values) for run, values in zip(clip_design.runs, grouped)]
+        report = analyze(clip_design, results, clip_config.responses)
+        assert report_to_json(report) == report_to_json(
+            analyze(clip_design, merged, clip_config.responses)
+        )
+        table = TableEvaluator.from_results(clip_design, results)
+        for name in names:
+            means = [math.fsum(values[name]) / len(values[name]) for values in grouped]
+            assert list(report.response(name).run_means) == means
+            assert [table.evaluate(run.settings, name) for run in clip_design.runs] == means
+        order = dict.fromkeys(name for values in grouped for name in values)
+        with pytest.raises(UnknownResponseError) as caught:
+            table.evaluate(clip_design.runs[0].settings, "warpage")
+        assert str(caught.value) == "no response named 'warpage'; available: " + ", ".join(order)
+        strays = data.draw(st.lists(st.sampled_from([-1, 0, 10, 27]), min_size=1, max_size=3))
+        for number in strays:
+            at = data.draw(st.integers(0, len(results)))
+            results.insert(at, RunResult(number, {names[0]: (1.0,)}))
+        message = "results reference run number(s) not in the design: " + ", ".join(
+            map(str, sorted(set(strays)))
+        )
+        for group in (lambda: analyze(clip_design, results, clip_config.responses),
+                      lambda: TableEvaluator.from_results(clip_design, results)):
+            with pytest.raises(IncompleteResultsError) as caught:
+                group()
+            assert str(caught.value) == message
+
+
 class TestRanking:
     def test_cycle_time_ranks(self, clip_report):
         assert clip_report.response("cycle_time").ranks == (1, 2, 4, 3)
@@ -427,6 +492,26 @@ class TestResultsCsv:
         results = read_results_csv("run,y\n1,2.0\n1,4.0\n2,6.0\n")
         assert results[0].values["y"] == (2.0, 4.0)
         assert results[1].values["y"] == (6.0,)
+
+    def test_run_number_forms_name_one_run_on_every_path(self):
+        # 1,100 rows: the forms recur within the first batch of 1,024 lines and after it.
+        forms = ["1", "01", "+1", " 1 "]
+        rows = [f"{forms[i % 4].replace('1', str(1 + i % 3))},{i}" for i in range(1100)]
+        expected = tuple(
+            RunResult(run, {"a": tuple(float(i) for i in range(run - 1, 1100, 3))})
+            for run in (1, 2, 3)
+        )
+        plain = "run,a\n" + "".join(row + "\n" for row in rows)
+        # A comment line sends the batch that holds it through the line-by-line read.
+        first_noted = plain.replace("run,a\n", "run,a\n# note\n")
+        for text in (plain, plain + "# note\n", first_noted):
+            assert read_results_csv(text) == expected
+        # A bad run cell in either batch is named by its line, on either path.
+        for i in (1002, 1062):
+            for text, line in ((plain, i + 2), (plain + "# note\n", i + 2), (first_noted, i + 3)):
+                with pytest.raises(ResultsFormatError) as caught:
+                    read_results_csv(text.replace(f"\n+1,{i}\n", f"\n+1x,{i}\n"))
+                assert str(caught.value) == f"row {line}, column 'run': not an integer: '+1x'"
 
     def test_non_numeric_cell_names_row_and_column(self):
         with pytest.raises(ResultsFormatError, match="row 3, column 'y'"):
