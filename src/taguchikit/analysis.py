@@ -11,8 +11,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
 
 # perfbench's workload and tests read RunResult and read_results_csv here; design defines them.
 from taguchikit.design import Design, RunResult, read_results_csv  # noqa: F401

@@ -16,7 +16,6 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from taguchikit import reporting
 from taguchikit.analysis import (
@@ -45,10 +44,11 @@ class ProjectConfig:
     precision: dict[str, int] = field(default_factory=dict)
 
 
-def _read_input(path: str | Path, what: str) -> str:
-    """Text of an input file; a UTF-8 byte-order mark (as in Excel exports) is dropped."""
+def _read_input(path: str, what: str) -> str:
+    """Text of the file ``open(path)`` reads; a UTF-8 byte-order mark (as in Excel exports) is dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
@@ -81,12 +81,12 @@ def _load_yaml(text: str, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def load_config(path: str | Path) -> ProjectConfig:
-    path = Path(path)
-    data = _load_yaml(_read_input(path, "config"), str(path))
+def load_config(path: str | os.PathLike[str]) -> ProjectConfig:
+    path = os.fspath(path)
+    data = _load_yaml(_read_input(path, "config"), path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    return _parse_config(data, str(path))
+    return _parse_config(data, path)
 
 
 def _parse_config(data: dict, where: str) -> ProjectConfig:
@@ -215,6 +215,8 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
             if target is not None:
                 if not target:  # as open("") fails; realpath("") is the cwd
                     raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+                if not os.path.basename(target):  # as open("x/", "w") fails; realpath drops the "/"
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 path = os.path.realpath(target)
                 if path in files:
                     raise TaguchiKitError(f"two outputs name the same file: {target}")

@@ -6,9 +6,9 @@ import csv
 import io
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Sequence
 
 from taguchikit.arrays import OrthogonalArray
 from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError

@@ -12,10 +12,10 @@ mean. Both evaluators are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
-from taguchikit.analysis import AnalysisReport, _additive_sum, _mean
+from taguchikit.analysis import AnalysisReport, _mean
 from taguchikit.analysis import _row_replicates, _response_index
 from taguchikit.arrays import verify_orthogonality
 from taguchikit.design import Design, Factor, RunResult, number_label
@@ -112,15 +112,16 @@ class SurrogateEvaluator:
     def evaluate(self, settings: Mapping[str, float]) -> float:
         """``g + sum_f (m[f][L_f] - g)`` with the terms taken from the tables, in factor order.
 
-        The sum is :func:`_additive_sum`'s to the last bit. A value that is
-        not a level is looked up by :meth:`Factor.level_index`, which names it.
+        The sum is :func:`taguchikit.analysis._additive_sum`'s to the last bit.
+        A value that is not a level is named by :meth:`Factor.level_index`.
         """
         key = _settings_key(settings, self._names)
         try:
             terms = [row[index[v]] for row, index, v in zip(self._offsets, self._indices, key)]
         except KeyError:
-            levels = map(Factor.level_index, self.factors, key)
-            return _additive_sum(self.grand_mean, self.level_means, levels)
+            for factor, value in zip(self.factors, key):
+                factor.level_index(value)
+            raise
         return self.grand_mean + sum(terms)
 
 

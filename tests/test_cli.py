@@ -275,6 +275,23 @@ class TestAnalyzeCommand:
         assert single_error(capsys) == f"error: {plain.value}"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("option", ["--plot-data", "--out"])
+    def test_output_name_ending_in_a_separator_fails_as_a_plain_write(
+        self, fixture_paths, tmp_path, capsys, monkeypatch, option, existing
+    ):
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            (tmp_path / "x.json").write_text("old\n", encoding="utf-8")
+        with pytest.raises(OSError) as plain:
+            open("x.json/", "w")
+        assert plain.value.errno == errno.EISDIR
+        assert main(["analyze", *fixture_paths, option, "x.json/"]) == 2
+        assert single_error(capsys) == f"error: {plain.value}"
+        assert os.listdir(tmp_path) == (["x.json"] if existing else [])
+        if existing:
+            assert (tmp_path / "x.json").read_text(encoding="utf-8") == "old\n"
+
     def test_plot_data_name_too_long_fails_before_stdout(self, fixture_paths, tmp_path, capsys):
         target = str(tmp_path / ("e" * 300))
         with pytest.raises(OSError) as plain:
@@ -708,6 +725,56 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match=r"factors\[0\]: int too large"):
             load_config(bad)
+
+
+class TestInputPaths:
+    """An input path goes to ``open()`` as typed, and an error names it as typed."""
+
+    @pytest.mark.parametrize("which", ["config", "results", "prediction"])
+    def test_name_ending_in_a_separator_is_not_a_directory(
+        self, fixture_paths, fixtures_dir, capsys, which
+    ):
+        config, results = fixture_paths
+        prediction = str(fixtures_dir / "expected_report.json")  # never parsed: open() fails first
+        typed = {"config": config, "results": results, "prediction": prediction}[which] + "/"
+        argv = {
+            "config": ["analyze", typed, results],
+            "results": ["analyze", config, typed],
+            "prediction": ["validate", typed, "--confirmed", "1"],
+        }[which]
+        assert main(argv) == 2
+        assert single_error(capsys) == (
+            f"error: cannot read {which} {typed}: [Errno 20] Not a directory: {typed!r}"
+        )
+
+    def test_empty_config_name_fails_as_open_fails(self, capsys):
+        assert main(["design", ""]) == 2
+        assert single_error(capsys) == (
+            "error: cannot read config : [Errno 2] No such file or directory: ''"
+        )
+
+    def test_missing_config_is_named_as_typed(self, tmp_path, capsys):
+        typed = f"{tmp_path}/.//missing.yaml"
+        assert main(["design", typed]) == 2
+        assert single_error(capsys) == (
+            f"error: cannot read config {typed}: [Errno 2] No such file or directory: {typed!r}"
+        )
+
+    def test_config_error_names_the_config_as_typed(self, tmp_path, capsys):
+        (tmp_path / "list.yaml").write_text("- 1\n", encoding="utf-8")
+        typed = f"{tmp_path}/./list.yaml"
+        assert main(["design", typed]) == 2
+        assert single_error(capsys) == f"error: {typed}: top level must be a mapping"
+
+    def test_load_config_names_a_path_object_by_its_text(self, tmp_path):
+        missing = tmp_path / "missing.yaml"
+        messages = []
+        for path in (str(missing), missing):
+            with pytest.raises(ConfigError) as failure:
+                load_config(path)
+            messages.append(str(failure.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"cannot read config {missing}: [Errno 2] ")
 
 
 class TestTotality:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import ast
 import gc
 import importlib
+import os
 import sys
 import types
 from pathlib import Path
 
 import pytest
+import yaml
 
 import taguchikit
 from taguchikit.cli import main
@@ -33,9 +35,9 @@ def test_star_import_binds_every_name():
     assert len(namespace) == 29
 
 
-def _run_python(spawn, code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports the package from ``src``."""
-    completed = spawn([sys.executable, "-c", code])
+def _run_python(spawn, code: str, *options: str) -> str:
+    """Stdout of ``code`` run by ``python <options> -c`` in a fresh interpreter that imports from ``src``."""
+    completed = spawn([sys.executable, *options, "-c", code])
     assert completed.returncode == 0, completed.stderr
     return completed.stdout
 
@@ -69,24 +71,27 @@ def test_validate_does_not_load_yaml(tmp_path, spawn):
     assert _run_python(spawn, code).splitlines()[-1] == "0 False"
 
 
-def _modules_loaded_by(spawn, argv: list[str]) -> set[str]:
+def _modules_loaded_by(spawn, argv: list[str], bare: bool = False) -> set[str]:
     """Modules that ``from taguchikit.cli import main`` and ``main(argv)`` load in a fresh interpreter.
 
-    Modules already loaded before that import, by ``site`` for example, are not counted.
+    Modules already loaded before that import, by ``site`` for example, are not
+    counted. A ``bare`` interpreter runs under ``python -S``, so ``site`` and the
+    ``.pth`` files it runs load nothing; PyYAML's directory is appended to its path.
     """
+    setup = ""
+    if bare:
+        setup = f"sys.path.append({os.path.dirname(os.path.dirname(yaml.__file__))!r}); "
     code = (
-        "import sys; before = set(sys.modules); from taguchikit.cli import main; "
+        f"import sys; {setup}before = set(sys.modules); from taguchikit.cli import main; "
         f"code = main({argv!r}); print(code, *sorted(set(sys.modules) - before))"
     )
-    code, *loaded = _run_python(spawn, code).split()
+    code, *loaded = _run_python(spawn, code, *(["-S"] if bare else [])).split()
     assert code == "0"
     return set(loaded)
 
 
 STUDY = [str(REPO / "fixtures" / name) for name in ("clip_moulding.yaml", "clip_moulding_results.csv")]
-
-
-@pytest.mark.parametrize(
+COMMANDS = pytest.mark.parametrize(
     "argv,absent",
     [
         (["design", STUDY[0]], {"json", "decimal"}),
@@ -96,9 +101,26 @@ STUDY = [str(REPO / "fixtures" / name) for name in ("clip_moulding.yaml", "clip_
     ],
     ids=["design", "analyze-text", "analyze-json", "predict-json"],
 )
+
+
+@COMMANDS
 def test_command_loads_neither_json_nor_decimal_unless_it_writes_them(tmp_path, spawn, argv, absent):
     loaded = _modules_loaded_by(spawn, argv + ["--out", str(tmp_path / "out")])
     assert not absent & loaded
+
+
+@COMMANDS
+def test_command_in_a_bare_interpreter_loads_neither_typing_nor_pathlib(tmp_path, spawn, argv, absent):
+    loaded = _modules_loaded_by(spawn, argv + ["--out", str(tmp_path / "out")], bare=True)
+    assert not ({"typing", "pathlib"} | absent) & loaded
+
+
+def test_validate_in_a_bare_interpreter_loads_neither_typing_nor_pathlib(tmp_path, spawn):
+    prediction = str(tmp_path / "prediction.json")
+    assert main(["predict", *STUDY, "--response", "cycle_time", "--out", prediction]) == 0
+    argv = ["validate", prediction, "--confirmed", "22.92", "--format", "json"]
+    argv += ["--out", str(tmp_path / "out")]
+    assert not {"typing", "pathlib", "decimal"} & _modules_loaded_by(spawn, argv, bare=True)
 
 
 def test_each_call_the_benchmark_tracer_wraps_is_still_there():
