@@ -3,7 +3,8 @@
 File-based workflow: a declarative YAML project config plus a results CSV
 in, run sheets / reports / predictions out. Identical inputs produce
 byte-identical outputs. Each command returns its outputs, and one writer
-puts them out through write-then-rename, so an error leaves none of a
+opens every output file before it writes any, then writes each in place as
+``open()`` would, so an error before the first write leaves none of a
 command's files behind.
 """
 
@@ -196,66 +197,50 @@ def build_design(config: ProjectConfig, array_override: str | None = None) -> tu
 
 
 def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
-    """Write a command's ``(path, text)`` outputs; on any failure, put none of its files in place.
+    """Write a command's ``(path, text)`` outputs where and as ``open(path, "w")`` would.
 
-    A ``None`` path is stdout. Each target is resolved once, and only that path
-    is used: a file lands where ``open(target, "w")`` would put it, through a
-    symlink, with the mode it would give (an existing file keeps its permission
-    bits, a new one gets ``0o666`` less the umask). Two targets may not resolve
-    to one path, nor be hard links to one existing file. Each file is written to
-    a temporary name of pid and index beside it, then stdout, then the files are
-    renamed into place in order; a failure removes the temporary files left. The
-    rename replaces a hard-linked target's directory entry, so the file's other
-    names keep the old content. Errors name the target as given, or ``<stdout>``.
+    A ``None`` path is stdout. Every file is opened first, for appending, so
+    nothing is emptied yet; two outputs that open one file (by device and
+    inode, so also through a symlink or a hard link) are refused. Then stdout
+    is written, then each file in place, a regular file emptied first. A
+    failure before that removes the files this call created; a write error
+    after it leaves that file short. Errors name the target as given, or ``<stdout>``.
     """
-    pending: list[tuple[str, str, str]] = []  # (temporary name, path, target), not yet renamed
+    opened = []  # (target, UTF-8 text, handle, its fstat, whether this call created it)
+    inodes: set[tuple[int, int]] = set()
     try:
-        files: dict[str, tuple[str, str]] = {}  # resolved path: (target, text)
-        for target, text in outputs:
-            if target is not None:
-                if not target:  # as open("") fails; realpath("") is the cwd
-                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
-                if not os.path.basename(target):  # as open("x/", "w") fails; realpath drops the "/"
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                path = os.path.realpath(target)
-                if path in files:
-                    raise TaguchiKitError(f"two outputs name the same file: {target}")
-                files[path] = target, text
-        inodes: set[tuple[int, int]] = set()  # (st_dev, st_ino) of the existing targets
-        for index, (path, (target, text)) in enumerate(files.items()):
-            try:
-                info = os.stat(path)  # a symlink loop fails here, as in open()
-            except FileNotFoundError:
-                mode = 0  # a new file: os.open gives it 0o666 less the umask
-            else:
-                mode = info.st_mode
-                if (info.st_dev, info.st_ino) in inodes:  # two hard links to one file
-                    raise TaguchiKitError(f"two outputs name the same file: {target}")
-                inodes.add((info.st_dev, info.st_ino))
-            if stat.S_ISDIR(mode):  # refused here, not by a rename after another file is in place
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            tmp = os.path.join(os.path.dirname(path), f".taguchikit-{os.getpid()}-{index}.tmp")
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            pending.append((tmp, path, target))
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                if mode:
-                    os.chmod(handle.fileno(), mode & 0o777)
-        target = "<stdout>"
-        for path, text in outputs:
-            if path is None:
-                _write_stdout(text)
-        while pending:
-            tmp, path, target = pending[0]
-            os.replace(tmp, path)
-            del pending[0]
+        try:
+            for target, text in outputs:
+                if target is not None:
+                    data = text.encode("utf-8")
+                    created = not os.path.exists(target)  # a dangling symlink's file is new too
+                    handle = open(target, "ab")
+                    info = os.fstat(handle.fileno())
+                    opened.append((target, data, handle, info, created))
+                    if (info.st_dev, info.st_ino) in inodes:
+                        raise TaguchiKitError(f"two outputs name the same file: {target}")
+                    inodes.add((info.st_dev, info.st_ino))
+            target = "<stdout>"
+            for path, text in outputs:
+                if path is None:
+                    _write_stdout(text)
+        except BaseException:
+            for path, _, _, _, created in opened:
+                if created:
+                    os.remove(os.path.realpath(path))
+            raise
+        for target, data, handle, info, _ in opened:
+            if stat.S_ISREG(info.st_mode):  # only a file is emptied; ftruncate fails on /dev/null
+                handle.truncate(0)
+            handle.write(data)
+            handle.close()
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, target) from None
     except UnicodeEncodeError as exc:  # a stdout that cannot encode the text, or a lone surrogate
         raise TaguchiKitError(f"{target}: {exc}") from None
     finally:
-        for tmp, _, _ in pending:
-            os.unlink(tmp)
+        for _, _, handle, _, _ in opened:
+            handle.close()
 
 
 def _write_stdout(text: str) -> None:

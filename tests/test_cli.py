@@ -10,8 +10,10 @@ import os
 import re
 import shlex
 import shutil
+import stat
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -221,6 +223,64 @@ class TestDesignCommand:
         assert single_error(capsys) == f"error: {plain.value}"
         assert loop.is_symlink() and os.readlink(loop) == "loop.csv"
         assert list(tmp_path.iterdir()) == [loop]
+
+    def test_out_into_a_fifo_feeds_its_reader(self, fixture_paths, tmp_path, capsys):
+        config, _ = fixture_paths
+        assert main(["design", config]) == 0
+        sheet = capsys.readouterr().out
+        fifo = tmp_path / "sheet.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["design", config, "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [sheet.encode("utf-8")]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_out_to_dev_stdout_reaches_a_piped_stdout(self, fixture_paths, spawn):
+        if not os.path.exists("/dev/stdout"):
+            pytest.skip("no /dev/stdout on this system")
+        argv = [sys.executable, "-m", "taguchikit", "design", fixture_paths[0]]
+        sheet = spawn(argv).stdout
+        completed = spawn(argv + ["--out", "/dev/stdout"])
+        assert (completed.returncode, completed.stderr) == (0, "")
+        assert completed.stdout == sheet
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_out_through_a_file_as_a_directory_fails_as_a_plain_write(
+        self, fixture_paths, tmp_path, capsys, monkeypatch, existing
+    ):
+        config, _ = fixture_paths
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            (tmp_path / "x.csv").write_text("old\n", encoding="utf-8")
+        with pytest.raises(OSError) as plain:
+            open("x.csv/.", "w")
+        assert main(["design", config, "--out", "x.csv/."]) == 2
+        assert single_error(capsys) == f"error: {plain.value}"
+        assert os.listdir(tmp_path) == (["x.csv"] if existing else [])
+        if existing:
+            assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "old\n"
+
+    def test_out_writes_every_hard_link(self, fixture_paths, tmp_path, capsys):
+        config, _ = fixture_paths
+        real, hard = tmp_path / "real.csv", tmp_path / "hard.csv"
+        real.write_text("old\n", encoding="utf-8")
+        hard.hardlink_to(real)
+        assert main(["design", config]) == 0
+        sheet = capsys.readouterr().out
+        assert main(["design", config, "--out", str(hard)]) == 0
+        assert real.read_text(encoding="utf-8") == hard.read_text(encoding="utf-8") == sheet
+        assert os.path.samefile(real, hard)
+
+    def test_out_to_dev_null_leaves_the_device(self, fixture_paths, capsys):
+        if not os.path.exists(os.devnull):
+            pytest.skip("no null device on this system")
+        assert main(["design", fixture_paths[0], "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+        assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
 
 
 class TestAnalyzeCommand:
@@ -936,6 +996,18 @@ class TestTotality:
         assert str(paths[unwritable]) in single_error(capsys)
         assert list(tmp_path.rglob("*")) == ([paths[unwritable]] if kind == "directory" else [])
 
+    def test_failing_output_removes_the_file_a_dangling_symlink_named(
+        self, fixture_paths, tmp_path, capsys
+    ):
+        link, taken = tmp_path / "link.csv", tmp_path / "taken"
+        link.symlink_to("new.csv")
+        taken.mkdir()
+        argv = ["analyze", *fixture_paths, "--plot-data", str(link), "--out", str(taken)]
+        assert main(argv) == 2
+        assert str(taken) in single_error(capsys)
+        assert link.is_symlink() and os.readlink(link) == "new.csv"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "taken"]
+
     def test_broken_pipe_stdout_leaves_no_plot_data(self, fixture_paths, tmp_path, spawn):
         argv = [sys.executable, "-m", "taguchikit", "analyze", *fixture_paths]
         argv += ["--plot-data", "effects.csv"]
@@ -1269,13 +1341,31 @@ def test_case_study_script_runs(tmp_path, spawn):
     assert "21.2575" in completed.stdout and "7.25" in completed.stdout
 
 
-def test_readme_library_example_runs(spawn):
+def readme_library_example() -> str:
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     start = readme.index("```python\n", readme.index("## Library example")) + len("```python\n")
-    example = readme[start:readme.index("```\n", start)]
+    return readme[start:readme.index("```\n", start)]
+
+
+def test_readme_library_example_runs(spawn):
+    example = readme_library_example()
     assert "fit_surrogate(report" in example
     completed = spawn([sys.executable, "-c", example], cwd=REPO)
     assert completed.returncode == 0, completed.stderr
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_readme_library_example_gives_the_frozen_report_on_each_interpreter(spawn, version):
+    python = shutil.which(f"python{version}")
+    if python is None or spawn([python, "-c", "pass"]).returncode != 0:
+        pytest.skip(f"python{version} is not installed or does not start")
+    example = readme_library_example() + (
+        "\nimport sys\nfrom taguchikit.reporting import report_to_json\n"
+        "sys.stdout.buffer.write(report_to_json(report).encode('utf-8'))\n"
+    )
+    completed = spawn([python, "-c", example], cwd=REPO, text=False)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == (REPO / "fixtures" / "expected_report.json").read_bytes()
 
 
 def test_readme_cli_walkthrough_runs(tmp_path, spawn):
