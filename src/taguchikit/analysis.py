@@ -122,19 +122,21 @@ def _row_replicates(design: Design, results: Iterable[RunResult]) -> list[dict[s
     A run's replicates may arrive split across any number of results; they are
     appended in input order. Run means, S/N ratios and table replay share this
     one pass, which refuses run numbers the design lacks. It allocates a dict
-    or list only for a run or response it has not seen yet.
+    or list only for a run or response it has not seen yet, and it reads each
+    result by key, which avoids building an ``items()`` view per result.
     """
     rows: dict[int, dict[str, list[float]]] = {run.number: {} for run in design.runs}
     for result in results:
         bucket = rows.get(result.run_number)
         if bucket is None:
             bucket = rows[result.run_number] = {}
-        for name, ys in result.values.items():
+        values = result.values
+        for name in values:
             got = bucket.get(name)
             if got is None:
-                bucket[name] = list(ys)
+                bucket[name] = list(values[name])
             else:
-                got += ys
+                got += values[name]
     unknown = sorted(rows.keys() - {run.number for run in design.runs})
     if unknown:
         raise IncompleteResultsError(

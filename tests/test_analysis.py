@@ -244,14 +244,15 @@ class TestSplitReplicates:
 @st.composite
 def scattered_results(draw, design, names):
     """Per run and response 1-4 replicates, scattered over 1-5 results per run. A result
-    may carry only some of the responses, its keys in any order; the results are shuffled."""
+    may carry only some of the responses, or none, its keys in any order; the results are
+    shuffled."""
     results = []
     for run in design.runs:
         carried: list[dict[str, list[float]]] = [{} for _ in range(draw(st.integers(1, 5)))]
         for name in names:
             for y in draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4)):
                 carried[draw(st.integers(0, len(carried) - 1))].setdefault(name, []).append(y)
-        for values in filter(None, carried):
+        for values in carried:
             order = draw(st.permutations(list(values)))
             results.append(RunResult(run.number, {name: values[name] for name in order}))
     return draw(st.permutations(results))
