@@ -54,37 +54,15 @@ def _read_input(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-# libyaml overflows the C stack near 25,000 levels of nesting. Each level needs
-# one of the indicators "[{-?:", so a text holding more of them than this may
-# nest too deep and goes to the pure-Python parser, which fails on deep nesting
-# with a RecursionError instead.
-_C_YAML_LIMIT = 4096
-
-
-def _load_yaml(text: str, where: str):
-    """``yaml.safe_load``, through libyaml when it is installed and the text cannot nest deep.
-
-    A text libyaml rejects is parsed again by the pure-Python loader, so the
-    error names the same position as without libyaml. PyYAML is imported
-    here, so ``validate``, which reads no config, never loads it.
-    """
-    import yaml
-
-    loader = getattr(yaml, "CSafeLoader", None)
-    try:
-        if loader is not None and sum(map(text.count, "[{-?:")) <= _C_YAML_LIMIT:
-            try:
-                return yaml.load(text, Loader=loader)
-            except yaml.YAMLError:
-                pass
-        return yaml.safe_load(text)
-    except (yaml.YAMLError, RecursionError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def load_config(path: str | os.PathLike[str]) -> ProjectConfig:
+    import yaml  # here, so ``validate``, which reads no config, never loads PyYAML
+
     path = os.fspath(path)
-    data = _load_yaml(_read_input(path, "config"), path)
+    text = _read_input(path, "config")
+    try:
+        data = yaml.safe_load(text)
+    except (yaml.YAMLError, RecursionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return _parse_config(data, path)

@@ -606,18 +606,43 @@ class TestConfigParsing:
         assert load_config(fixtures_dir / "clip_moulding.yaml") == clip_config
 
     def test_long_config_parses_as_a_short_one(self, fixtures_dir, tmp_path, capsys):
-        if getattr(yaml, "CSafeLoader", None) is None:
-            pytest.skip("PyYAML built without libyaml")
         text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")
-        text = text.replace("array: L9", "array:\tL9")  # libyaml takes the tab, PyYAML does not
+        text = text.replace("array: L9", "array:\tL9")  # PyYAML refuses the tab, libyaml or not
         assert "\t" in text
         short, padded = tmp_path / "short.yaml", tmp_path / "padded.yaml"
         short.write_text(text, encoding="utf-8")
-        padded.write_text("# " + "x" * 5000 + "\n" + text, encoding="utf-8")
-        assert main(["design", str(short)]) == 0
-        sheet = capsys.readouterr().out
-        assert main(["design", str(padded)]) == 0
-        assert capsys.readouterr().out == sheet
+        padded.write_text(text + "# " + "x" * 5000 + "\n", encoding="utf-8")
+        assert main(["design", str(short)]) == 2
+        refused = single_error(capsys)
+        assert main(["design", str(padded)]) == 2
+        assert single_error(capsys) == refused.replace(str(short), str(padded))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text,
+            lambda text: text.replace("array: L9", "array:\tL9"),
+            lambda text: text.replace("# an L9", "# an\x85L9"),
+            lambda text: text.replace("  - name: holding_time", "\t- name: holding_time"),
+            lambda text: "a: " + "[" * 5000,
+            lambda text: "array: [unclosed\n",
+        ],
+        ids=["fixture", "tab-after-array", "nel-in-comment", "tab-indent", "deep-flow", "unclosed"],
+    )
+    def test_outcome_does_not_depend_on_libyaml(self, fixtures_dir, tmp_path, monkeypatch, edit):
+        text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")
+        config = tmp_path / "config.yaml"
+        config.write_text(edit(text), encoding="utf-8")
+
+        def outcome():
+            try:
+                return load_config(config)
+            except ConfigError as exc:
+                return str(exc)
+
+        with_libyaml = outcome()
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert outcome() == with_libyaml
 
     def test_missing_levels_reports_field_path(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -1337,8 +1362,9 @@ class TestLayoutInvariance:
 
 def test_case_study_script_runs(tmp_path, spawn):
     completed = spawn([sys.executable, str(REPO / "scripts" / "run_case_study.py")], cwd=tmp_path)
-    assert completed.returncode == 0, completed.stderr
-    assert "21.2575" in completed.stdout and "7.25" in completed.stdout
+    assert completed.returncode == 0 and completed.stderr == "", completed.stderr
+    for line in ("predicted 21.2575", "error 7.25 %", "predicted 1.8343", "is below the averaged nominal limit"):
+        assert line in completed.stdout, line
 
 
 def readme_library_example() -> str:
