@@ -4,10 +4,9 @@ Two desk-scale evaluators cover what a press or a finite-element run
 would normally answer: :class:`TableEvaluator` replays recorded results
 for exactly the combinations that were run, and :class:`SurrogateEvaluator`
 extends a balanced screening to every level combination through the same
-additive model used for optimum prediction. A surrogate computes its
-lookup tables once, when it is built: a map from each factor's level
-values to their indices, and each level mean's offset from the grand
-mean. Both evaluators are immutable and safe to share across threads.
+additive model, evaluated by :func:`~taguchikit.analysis.predict_optimum`'s
+sum at :meth:`Factor.level_index`'s levels. Both evaluators are immutable
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from taguchikit.analysis import AnalysisReport, _mean
+from taguchikit.analysis import AnalysisReport, _additive_sum, _mean
 from taguchikit.analysis import _row_replicates, _response_index
 from taguchikit.arrays import verify_orthogonality
 from taguchikit.design import Design, Factor, RunResult, number_label
@@ -99,30 +98,14 @@ class SurrogateEvaluator:
     factors: tuple[Factor, ...]
     level_means: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
-        grand = self.grand_mean
-        object.__setattr__(self, "_names", tuple(factor.name for factor in self.factors))
-        object.__setattr__(
-            self, "_indices", tuple({v: i for i, v in enumerate(f.levels)} for f in self.factors)
-        )
-        object.__setattr__(
-            self, "_offsets", tuple([tuple([m - grand for m in row]) for row in self.level_means])
-        )
-
     def evaluate(self, settings: Mapping[str, float]) -> float:
-        """``g + sum_f (m[f][L_f] - g)`` with the terms taken from the tables, in factor order.
-
-        The sum is :func:`taguchikit.analysis._additive_sum`'s to the last bit.
-        A value that is not a level is named by :meth:`Factor.level_index`.
-        """
-        key = _settings_key(settings, self._names)
+        """``g + sum_f (m[f][L_f] - g)`` by :func:`taguchikit.analysis._additive_sum`, at each level."""
         try:
-            terms = [row[index[v]] for row, index, v in zip(self._offsets, self._indices, key)]
-        except KeyError:
-            for factor, value in zip(self.factors, key):
-                factor.level_index(value)
+            levels = [factor.level_index(float(settings[factor.name])) for factor in self.factors]
+        except (KeyError, InvalidLevelError):  # a missing factor is named before a non-level value
+            _settings_key(settings, [factor.name for factor in self.factors])
             raise
-        return self.grand_mean + sum(terms)
+        return _additive_sum(self.grand_mean, self.level_means, levels)
 
 
 def fit_surrogate(report: AnalysisReport, response: str) -> SurrogateEvaluator:

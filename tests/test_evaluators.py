@@ -155,6 +155,14 @@ class TestSurrogate:
                 }
             )
 
+    def test_missing_factor_is_named_before_a_non_level_value(self, clip_report, table):
+        probe = {"mould_temperature": 82, "melt_temperature": 215, "injection_pressure": 53}
+        message = r"^settings lack factor\(s\): holding_time$"
+        with pytest.raises(InvalidLevelError, match=message):
+            fit_surrogate(clip_report, "cycle_time").evaluate(probe)
+        with pytest.raises(InvalidLevelError, match=message):
+            table.evaluate(probe, "cycle_time")
+
     @pytest.mark.parametrize(
         ("point", "levels"),
         [
@@ -165,7 +173,7 @@ class TestSurrogate:
         ids=["negative_zero", "int_for_float", "between_levels"],
     )
     def test_level_lookup_matches_level_index(self, point, levels):
-        """The surrogate's level map finds what ``Factor.level_index`` finds, and misses what it misses."""
+        """The surrogate evaluates at ``Factor.level_index``'s level, and misses what it misses."""
         factors = (Factor("z", "", (0.0, 1.0)), Factor("w", "", (47.0, 48.0)))
         design = bind(select_array(2, 2), factors)
         results = [RunResult(n, {"y": (float(n) ** 2,)}) for n in range(1, 5)]
