@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 # perfbench's workload and tests read RunResult and read_results_csv here; design defines them.
-from taguchikit.design import Design, RunResult, read_results_csv  # noqa: F401
+from taguchikit.design import Design, RunResult, _repeated, read_results_csv  # noqa: F401
 from taguchikit.errors import (
     ConfigError,
     ConfirmationError,
@@ -286,6 +286,9 @@ def analyze(
     """Full screening for every response: S/N, level means, deltas, ranks, optima."""
     if not specs:
         raise UnknownResponseError("at least one response spec is required")
+    dupes = _repeated(spec.name for spec in specs)
+    if dupes:
+        raise ConfigError(f"duplicate response name(s): {dupes}")
     rows = _row_replicates(design, results)
     analyses = []
     for spec in specs:

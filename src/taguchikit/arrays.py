@@ -132,8 +132,9 @@ def verify_orthogonality(array: OrthogonalArray) -> VerificationReport:
 
 # --------------------------------------------------------------------------
 # Catalog: canonical published tables as (level count, digit rows), rows in
-# standard order, 0-based levels. An array is decoded, and checked by the
-# OrthogonalArray constructor, only when it is looked up.
+# standard order, 0-based levels, listed by run count (the order CATALOG_NAMES
+# keeps). An array is decoded, and checked by the OrthogonalArray constructor,
+# only when it is looked up.
 # --------------------------------------------------------------------------
 
 _CATALOG: dict[str, tuple[int, str]] = {
@@ -165,7 +166,7 @@ _CATALOG: dict[str, tuple[int, str]] = {
     ),
 }
 
-CATALOG_NAMES: tuple[str, ...] = tuple(sorted(_CATALOG, key=lambda n: _CATALOG[n][1].count(" ")))
+CATALOG_NAMES: tuple[str, ...] = tuple(_CATALOG)
 
 
 def _columns(name: str) -> int:

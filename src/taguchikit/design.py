@@ -209,8 +209,7 @@ def read_results_csv(
             )
     width = len(responses)
     # Each run's rows laid end to end; response i is every width-th value from i. Zipping
-    # one iterator over the values ``width`` times cuts them into rows. ``get``, not
-    # ``setdefault``, which would build and drop an empty list for every row.
+    # one iterator over the values ``width`` times cuts them into rows.
     flat: dict[int, list[float]] = {}
     while batch := list(islice(lines, _BATCH_LINES)):
         try:
@@ -218,11 +217,7 @@ def read_results_csv(
         except ValueError:
             numbers, values = _checked_rows(batch, done, header)
         for number, row in zip(numbers, zip(*[iter(values)] * width)):
-            got = flat.get(number)
-            if got is None:
-                flat[number] = list(row)
-            else:
-                got += row
+            flat.setdefault(number, []).extend(row)
         done += len(batch)
     results = []
     for number in sorted(flat):
@@ -262,13 +257,9 @@ def _plain_rows(lines: list[str], width: int) -> tuple[list[int], list[float]]:
         raise ValueError("a line of another width")
     if max(map(len, lines)) > csv.field_size_limit():
         raise ValueError("a line that may hold a cell beyond the csv field limit")
-    joined = ",".join(lines)
-    if not joined.isascii() or "_" in joined:
-        raise ValueError("a cell that is not ASCII or holds '_'")
-    cells = joined.split(",")
-    # A batch names few runs: each distinct run cell is parsed once.
-    parsed = {key: int(key) for key in dict.fromkeys(cells[::width])}
-    numbers = list(map(parsed.__getitem__, cells[::width]))
+    # The joined batch is in ``_parse``'s form exactly when each of its cells is.
+    cells = _parse(",".join(lines), str).split(",")
+    numbers = list(map(int, cells[::width]))
     del cells[::width]
     values = list(map(float, cells))
     # A finite sum has only finite terms.
@@ -312,7 +303,7 @@ def _checked_rows(lines: list[str], done: int, header: list[str]) -> tuple[list[
     return numbers, values
 
 
-def _parse(cell: str, kind: type) -> int | float:
+def _parse(cell: str, kind: type) -> int | float | str:
     """``kind(cell)`` for a cell in the form a spreadsheet writes: ASCII, without ``_``.
 
     ``int`` and ``float`` also take digits of other scripts and ``_`` between

@@ -134,7 +134,7 @@ def report_to_text(report: AnalysisReport, precision: dict[str, int] | None = No
             )
             for i, run in enumerate(design.runs)
         ]
-        _table(out, ("run", "mean", "S/N"), rows, indent="  ")
+        _table(out, ("run", "mean", "S/N"), rows)
 
         out.write("\n")
         level_count = max(len(f.levels) for f in design.factors)
@@ -155,18 +155,18 @@ def report_to_text(report: AnalysisReport, precision: dict[str, int] | None = No
                     best,
                 )
             )
-        _table(out, header, rows, indent="  ")
+        _table(out, header, rows)
     return out.getvalue()
 
 
-def _table(out: io.StringIO, header: tuple[str, ...], rows: list[tuple[str, ...]], indent: str) -> None:
+def _table(out: io.StringIO, header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
     widths = [len(h) for h in header]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
     def line(cells: tuple[str, ...]) -> str:
         left, rest = cells[0], cells[1:]
-        return indent + "  ".join(
+        return "  " + "  ".join(
             [left.ljust(widths[0])] + [c.rjust(w) for c, w in zip(rest, widths[1:])]
         ).rstrip()
     out.write(line(header) + "\n")

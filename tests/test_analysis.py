@@ -415,6 +415,17 @@ class TestPredict:
         with pytest.raises(UnknownResponseError, match="warpage"):
             predict_optimum(clip_report, "warpage")
 
+    def test_repeated_response_name_is_refused(self, clip_design, clip_results):
+        # report.response(name) finds the first of two same-named responses, so
+        # the second one's prediction would be made at the first one's optimum.
+        specs = [
+            ResponseSpec("cycle_time", "s", Objective.SMALLER_IS_BETTER),
+            ResponseSpec("shrinkage", "%", Objective.SMALLER_IS_BETTER),
+            ResponseSpec("cycle_time", "s", Objective.LARGER_IS_BETTER),
+        ]
+        with pytest.raises(ConfigError, match=r"^duplicate response name\(s\): cycle_time$"):
+            analyze(clip_design, clip_results, specs)
+
 
 class TestValidate:
     def test_cycle_time_confirmation(self, clip_report):
