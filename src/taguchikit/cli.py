@@ -28,9 +28,9 @@ from taguchikit.analysis import (
     validate,
 )
 from taguchikit.arrays import get_array, select_array
-from taguchikit.design import Design, Factor, _parse, _repeated, bind, export_run_sheet, read_results_csv
+from taguchikit.design import Design, Factor, bind, export_run_sheet, read_results_csv
+from taguchikit.design import is_number, number_text, repeated_names
 from taguchikit.errors import ConfigError, TaguchiKitError
-from taguchikit.reporting import _is_number
 
 __all__ = ["ProjectConfig", "load_config", "build_design", "main", "run"]
 
@@ -103,7 +103,7 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
     factors = []
     for loc, item, name, unit in entries("factors", ("name", "unit", "levels")):
         levels = item.get("levels")
-        if not isinstance(levels, list) or not all(map(_is_number, levels)):
+        if not isinstance(levels, list) or not all(map(is_number, levels)):
             raise fail(f"{loc}.levels", "expected a list of numbers")
         try:
             factors.append(Factor(name=name, unit=unit, levels=tuple(levels)))
@@ -122,7 +122,7 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
                 + ", ".join(m.value for m in Objective),
             ) from None
         target = item.get("target")
-        if target is not None and not _is_number(target):
+        if target is not None and not is_number(target):
             raise fail(f"{loc}.target", "expected a number")
         try:
             responses.append(
@@ -135,7 +135,7 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
             )
         except (TaguchiKitError, OverflowError) as exc:
             raise fail(loc, str(exc)) from None
-    dupes = _repeated(r.name for r in responses)
+    dupes = repeated_names(r.name for r in responses)
     if dupes:
         raise fail("responses", f"duplicate response name(s): {dupes}")
 
@@ -263,7 +263,7 @@ def _cmd_analyze(args: argparse.Namespace) -> list[tuple[str | None, str]]:
 def _number(option: str, text: str) -> float:
     """A number typed for ``option``, read by the results reader's rule."""
     try:
-        return _parse(text, float)
+        return float(number_text(text))
     except ValueError:
         raise ConfigError(f"{option}: {text!r} is not a number") from None
 

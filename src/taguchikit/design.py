@@ -31,7 +31,7 @@ def number_label(x: float) -> str:
     return repr(x)
 
 
-def _repeated(names: Iterable[str]) -> str:
+def repeated_names(names: Iterable[str]) -> str:
     """The names that occur more than once, sorted and comma-separated; empty if none."""
     return ", ".join(sorted(n for n, count in Counter(names).items() if count > 1))
 
@@ -135,7 +135,7 @@ def bind(array: OrthogonalArray, factors: Sequence[Factor]) -> Design:
         raise BindError(
             f"{array.name} has {array.columns} columns but {len(factors)} factors were given"
         )
-    dupes = _repeated(f.name for f in factors)
+    dupes = repeated_names(f.name for f in factors)
     if dupes:
         raise BindError(f"duplicate factor names: {dupes}")
     for j, factor in enumerate(factors):
@@ -194,7 +194,7 @@ def read_results_csv(
         raise ResultsFormatError("results table is empty")
     if header[0] != "run":
         raise ResultsFormatError("results table must start with a 'run' column")
-    repeated = _repeated(header)
+    repeated = repeated_names(header)
     if repeated:
         raise ResultsFormatError(f"results table repeats column(s): {repeated}")
     responses = header[1:]
@@ -249,7 +249,7 @@ def _plain_rows(lines: list[str], width: int) -> tuple[list[int], list[float]]:
 
     Every line must be a plain row: ``width`` cells split at commas, no longer
     than csv's field limit, an integer first and finite numbers after, all in
-    ASCII without ``_`` (see ``_parse``). A quote, a comment or a blank line
+    ASCII without ``_`` (see ``number_text``). A quote, a comment or a blank line
     fails these. Raises ``ValueError`` at any other line, which leaves skipping
     and diagnosis to ``_checked_rows``.
     """
@@ -257,8 +257,8 @@ def _plain_rows(lines: list[str], width: int) -> tuple[list[int], list[float]]:
         raise ValueError("a line of another width")
     if max(map(len, lines)) > csv.field_size_limit():
         raise ValueError("a line that may hold a cell beyond the csv field limit")
-    # The joined batch is in ``_parse``'s form exactly when each of its cells is.
-    cells = _parse(",".join(lines), str).split(",")
+    # The joined batch is in ``number_text``'s form exactly when each of its cells is.
+    cells = number_text(",".join(lines)).split(",")
     numbers = list(map(int, cells[::width]))
     del cells[::width]
     values = list(map(float, cells))
@@ -283,14 +283,14 @@ def _checked_rows(lines: list[str], done: int, header: list[str]) -> tuple[list[
                 f"row {line_number}: expected {len(header)} cells, got {len(row)}"
             )
         try:
-            numbers.append(_parse(row[0], int))
+            numbers.append(int(number_text(row[0])))
         except ValueError:
             raise ResultsFormatError(
                 f"row {line_number}, column 'run': not an integer: {row[0]!r}"
             ) from None
         for name, cell in zip(header[1:], row[1:]):
             try:
-                value = _parse(cell, float)
+                value = float(number_text(cell))
             except ValueError:
                 raise ResultsFormatError(
                     f"row {line_number}, column {name!r}: not a number: {cell!r}"
@@ -303,15 +303,20 @@ def _checked_rows(lines: list[str], done: int, header: list[str]) -> tuple[list[
     return numbers, values
 
 
-def _parse(cell: str, kind: type) -> int | float | str:
-    """``kind(cell)`` for a cell in the form a spreadsheet writes: ASCII, without ``_``.
+def number_text(cell: str) -> str:
+    """``cell`` if it is in the form a spreadsheet writes: ASCII, without ``_``.
 
     ``int`` and ``float`` also take digits of other scripts and ``_`` between
     digits; a table that holds them was not written as numbers.
     """
     if not cell.isascii() or "_" in cell:
         raise ValueError(cell)
-    return kind(cell)
+    return cell
+
+
+def is_number(value: object) -> bool:
+    """Whether a value parsed from JSON or YAML is a number (an int or a float, not a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _cells(line: str, line_number: int) -> list[str]:

@@ -18,7 +18,8 @@ from taguchikit.analysis import AnalysisReport, _additive_sum, _mean
 from taguchikit.analysis import _row_replicates, _response_index
 from taguchikit.arrays import verify_orthogonality
 from taguchikit.design import Design, Factor, RunResult, number_label
-from taguchikit.errors import CombinationNotCoveredError, InvalidLevelError, UnbalancedDesignError
+from taguchikit.errors import CombinationNotCoveredError, InvalidLevelError, SingularityError
+from taguchikit.errors import UnbalancedDesignError
 
 __all__ = ["TableEvaluator", "SurrogateEvaluator", "fit_surrogate"]
 
@@ -74,7 +75,11 @@ class TableEvaluator:
                 f"no recorded result at {_format_key(key)}; nearest recorded: "
                 + "; ".join(_format_key(k) for k in nearest)
             )
-        return _mean(hit[response])
+        try:
+            return _mean(hit[response])
+        except OverflowError:
+            where = f"response {response!r} at {_format_key(key)}"
+            raise SingularityError(f"{where}: the replicates' sum is beyond the double range") from None
 
     def _nearest(self, key: tuple[float, ...]) -> list[tuple[float, ...]]:
         def distance(recorded: tuple[float, ...]) -> int:

@@ -13,7 +13,7 @@ import io
 import math
 
 from taguchikit.analysis import AnalysisReport, Prediction, ResponseAnalysis
-from taguchikit.design import number_label
+from taguchikit.design import is_number, number_label
 from taguchikit.errors import ConfigError
 
 __all__ = [
@@ -210,11 +210,6 @@ def prediction_to_json(prediction: Prediction) -> str:
     return json.dumps(body, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
-def _is_number(value: object) -> bool:
-    """Whether a value parsed from JSON or YAML is a number (an int or a float, not a bool)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def prediction_from_json_dict(data: dict) -> Prediction:
     """Read back a prediction document; raises :class:`ConfigError` if it is not one.
 
@@ -234,7 +229,7 @@ def prediction_from_json_dict(data: dict) -> Prediction:
             raise ValueError("level labels must be integers from 1 up")
         if not isinstance(response, str) or not isinstance(unit, str):
             raise ValueError("'response' and 'unit' must be strings")
-        if not all(map(_is_number, [*settings.values(), predicted])):
+        if not all(map(is_number, [*settings.values(), predicted])):
             raise ValueError("settings and 'predicted' must be numbers")
         prediction = Prediction(
             response=response,

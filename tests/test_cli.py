@@ -772,8 +772,18 @@ class TestConfigParsing:
                 "    objective: nominal-the-best\n    target: true\n",
                 "responses[0].target: expected a number",
             ),
+            (
+                "levels: [75, 80, 85]",
+                "levels: [true, 80, 85]",
+                "factors[0].levels: expected a list of numbers",
+            ),
+            (
+                "levels: [75, 80, 85]",
+                'levels: ["75", 80, 85]',
+                "factors[0].levels: expected a list of numbers",
+            ),
         ],
-        ids=["top-level", "factor", "response", "boolean-target"],
+        ids=["top-level", "factor", "response", "boolean-target", "boolean-level", "quoted-level"],
     )
     def test_unknown_keys_and_boolean_target_rejected(
         self, fixtures_dir, tmp_path, capsys, old, new, message

@@ -17,6 +17,7 @@ from taguchikit.errors import (
     CombinationNotCoveredError,
     IncompleteResultsError,
     InvalidLevelError,
+    SingularityError,
     UnbalancedDesignError,
     UnknownResponseError,
 )
@@ -82,6 +83,16 @@ class TestTableEvaluator:
         results = [RunResult(1, {"y": (10.0, 14.0)}), RunResult(2, {"y": (20.0,)})]
         evaluator = TableEvaluator.from_results(design, results)
         assert evaluator.evaluate({"x": 1.0}, "y") == 12.0
+
+    def test_replicates_summing_beyond_the_double_range_are_refused(self):
+        array = OrthogonalArray("pair", (2,), ((0,), (1,)))
+        design = bind(array, (Factor("x", "", (1.0, 2.0)),))
+        results = [RunResult(1, {"y": (1e308, 1e308)}), RunResult(2, {"y": (20.0,)})]
+        evaluator = TableEvaluator.from_results(design, results)
+        message = r"^response 'y' at \(1\): the replicates' sum is beyond the double range$"
+        with pytest.raises(SingularityError, match=message):
+            evaluator.evaluate({"x": 1.0}, "y")
+        assert evaluator.evaluate({"x": 2.0}, "y") == 20.0
 
 
 class TestSurrogate:

@@ -6,6 +6,7 @@ import ast
 import gc
 import importlib
 import os
+import pkgutil
 import sys
 import types
 from pathlib import Path
@@ -40,6 +41,16 @@ def _run_python(spawn, code: str, *options: str) -> str:
     completed = spawn([sys.executable, *options, "-c", code])
     assert completed.returncode == 0, completed.stderr
     return completed.stdout
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_console_script_resolves_to_the_cli_entry_point():
+    import tomllib
+
+    with open(REPO / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"taguchikit": "taguchikit.cli:run"}
+    assert callable(pkgutil.resolve_name(scripts["taguchikit"]))
 
 
 def test_cli_import_does_not_load_the_evaluators(spawn):
