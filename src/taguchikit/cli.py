@@ -114,11 +114,13 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
     for loc, item, name, unit in entries("responses", ("name", "unit", "objective", "target")):
         value = item.get("objective", "")
         try:
+            if isinstance(value, (list, dict)):  # Objective's own error would hold its repr
+                raise ValueError("not an objective name")
             objective = Objective(value)
         except ValueError:
             raise fail(
                 f"{loc}.objective",
-                f"unknown objective {value!r}; expected one of: "
+                f"unknown objective {_named(value)}; expected one of: "
                 + ", ".join(m.value for m in Objective),
             ) from None
         target = item.get("target")
@@ -145,7 +147,7 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
     known_keys(precision, tuple(reporting.REPORT_PRECISION), "precision.")
     for key, decimals in precision.items():
         if type(decimals) is not int or not 0 <= decimals <= 15:
-            raise fail(f"precision.{key}", f"expected 0 to 15 decimals, got {decimals!r}")
+            raise fail(f"precision.{key}", f"expected 0 to 15 decimals, got {_named(decimals)}")
 
     return ProjectConfig(
         array=array,
@@ -153,6 +155,16 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
         responses=tuple(responses),
         precision=dict(precision),
     )
+
+
+def _named(value: object) -> str:
+    """A config value as an error shows it: a list or mapping by its type, anything else by ``repr``.
+
+    YAML aliases can nest a list many levels deep in a few bytes, so its ``repr`` can be huge.
+    """
+    if isinstance(value, list):
+        return "a list"
+    return "a mapping" if isinstance(value, dict) else repr(value)
 
 
 def build_design(config: ProjectConfig, array_override: str | None = None) -> tuple[Design, str | None]:

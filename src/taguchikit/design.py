@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -108,10 +109,15 @@ class RunResult:
     values: dict[str, tuple[float, ...]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", {name: tuple(map(float, ys)) for name, ys in self.values.items()}
-        )
+        try:
+            operator.index(self.run_number)
+        except TypeError:
+            raise ResultsFormatError(
+                f"run number must be an integer, got {type(self.run_number).__name__}"
+            ) from None
+        values = {}
         for name, ys in self.values.items():
+            ys = values[name] = tuple(map(float, ys))
             if not ys:
                 raise ResultsFormatError(
                     f"run {self.run_number}: response {name!r} has no replicate values"
@@ -122,6 +128,7 @@ class RunResult:
                 raise ResultsFormatError(
                     f"run {self.run_number}: response {name!r} has a non-finite value: {bad[0]!r}"
                 )
+        object.__setattr__(self, "values", values)
 
 
 def bind(array: OrthogonalArray, factors: Sequence[Factor]) -> Design:

@@ -103,9 +103,11 @@ def _response_to_json(report: AnalysisReport, analysis: ResponseAnalysis) -> dic
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    import json  # imported by its users, so the text renderers never load it
+    return _json_document(report_to_json_dict(report))
 
-    body = report_to_json_dict(report)
+
+def _json_document(body: dict) -> str:
+    import json  # imported by its users, so the text renderers never load it
     return json.dumps(body, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
@@ -194,8 +196,6 @@ def main_effects_csv(report: AnalysisReport) -> str:
 
 
 def prediction_to_json(prediction: Prediction) -> str:
-    import json
-
     body = {
         "schema_version": SCHEMA_VERSION,
         "response": prediction.response,
@@ -207,7 +207,7 @@ def prediction_to_json(prediction: Prediction) -> str:
     if prediction.confirmation is not None:
         body["confirmation"] = prediction.confirmation
         body["error_percent"] = prediction.error_percent
-    return json.dumps(body, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    return _json_document(body)
 
 
 def prediction_from_json_dict(data: dict) -> Prediction:

@@ -827,6 +827,15 @@ class TestInputs:
         message = "^run 3: response 'y' has no replicate values$"
         with pytest.raises(ResultsFormatError, match=message):
             RunResult(3, {"y": ()})
+        # Responses are checked in order, each before the next is converted.
+        with pytest.raises(ResultsFormatError, match="^run 1: response 'a' has no replicate values$"):
+            RunResult(1, {"a": (), "b": ("x",)})
+
+    @pytest.mark.parametrize("number, kind", [("1", "str"), (1.0, "float"), (None, "NoneType")])
+    def test_run_number_must_be_an_integer(self, number, kind):
+        # 1.0 is not counted as run 1, and "1" never reaches a sort among int run numbers.
+        with pytest.raises(ResultsFormatError, match=f"^run number must be an integer, got {kind}$"):
+            RunResult(number, {"y": (1.0,)})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_run_result_rejects_non_finite_values(self, bad):

@@ -1228,22 +1228,31 @@ class TestConfigTotalityProperty:
             assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
-class TestConfigLoaderProperty:
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(text=_config_yaml())
-    def test_load_config_agrees_with_the_pure_loader(self, text):
-        with tempfile.TemporaryDirectory() as scratch:
-            path = Path(scratch) / "config.yaml"
-            path.write_text(text, encoding="utf-8")
-            try:
-                loaded = load_config(path)
-            except ConfigError as exc:
-                loaded = str(exc)
-            try:
-                expected = _parse_config(yaml.safe_load(text), str(path))
-            except ConfigError as exc:
-                expected = str(exc)
-        assert loaded == expected
+def _aliased_list(depth: int) -> str:
+    """YAML flow text of a list nested ``depth`` levels, ten entries each: about 50 bytes a level."""
+    text = "&a1 [x, x, x, x, x, x, x, x, x, x]"
+    for k in range(2, depth + 1):
+        text = f"&a{k} [{text}" + f", *a{k - 1}" * 9 + "]"
+    return text
+
+
+class TestAliasedConfigValues:
+    # Ten to the depth entries: a repr of the value in the message would be ~5 * 10**depth bytes.
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("field", ["objective", "precision.snr"])
+    def test_error_names_a_list_by_its_type(self, fixtures_dir, tmp_path, capsys, field, depth):
+        text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")
+        if field == "objective":
+            text = text.replace("objective: smaller-the-better", f"objective: {_aliased_list(depth)}", 1)
+            expected = "responses[0].objective: unknown objective a list; expected one of: "
+        else:
+            text += f"precision:\n  snr: {_aliased_list(depth)}\n"
+            expected = "precision.snr: expected 0 to 15 decimals, got a list"
+        config = tmp_path / "aliased.yaml"
+        config.write_text(text, encoding="utf-8")
+        assert main(["design", str(config)]) == 2
+        line = single_error(capsys)
+        assert len(line) <= 300 and expected in line, line[:300]
 
 
 def _assert_total(argv: list[str], json_out: bool) -> None:
