@@ -64,6 +64,7 @@ class ResponseSpec:
         if self.objective is Objective.NOMINAL_IS_BEST:
             if self.target is None or not math.isfinite(self.target):
                 raise ConfigError(f"response {self.name!r}: nominal-the-best needs a finite target")
+            object.__setattr__(self, "target", float(self.target))
         elif self.target is not None:
             raise ConfigError(f"response {self.name!r}: target only applies to nominal-the-best")
 
@@ -377,9 +378,13 @@ def error_percent(predicted: float, confirmed: float) -> float:
     ``|confirmed - predicted| / confirmed * 100``; the confirmation run is
     the denominator.
     """
-    if not math.isfinite(confirmed) or confirmed <= 0:
+    try:
+        value = float(confirmed)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfirmationError(f"confirmation value must be a positive number: {exc}") from None
+    if not math.isfinite(value) or value <= 0:
         raise ConfirmationError(f"confirmation value must be positive, got {confirmed!r}")
-    error = abs(confirmed - predicted) / confirmed * 100.0
+    error = abs(value - predicted) / value * 100.0
     if not math.isfinite(error):
         raise ConfirmationError(f"error percentage is out of the floating-point range: {error!r}")
     return error
@@ -387,8 +392,5 @@ def error_percent(predicted: float, confirmed: float) -> float:
 
 def validate(prediction: Prediction, confirmation_value: float) -> Prediction:
     """Attach a confirmation measurement and its error percentage to a prediction."""
-    return replace(
-        prediction,
-        confirmation=confirmation_value,
-        error_percent=error_percent(prediction.predicted, confirmation_value),
-    )
+    error = error_percent(prediction.predicted, confirmation_value)
+    return replace(prediction, confirmation=float(confirmation_value), error_percent=error)

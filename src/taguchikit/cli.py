@@ -100,43 +100,34 @@ def _parse_config(data: dict, where: str) -> ProjectConfig:
                 raise fail(f"{loc}.unit", "expected a string")
             yield loc, item, name, unit
 
+    def build(loc: str, make, *fields):
+        """``make(*fields)``; a refusal names the entry at ``loc``."""
+        try:
+            return make(*fields)
+        except (TaguchiKitError, OverflowError) as exc:
+            raise fail(loc, str(exc)) from None
+
     factors = []
     for loc, item, name, unit in entries("factors", ("name", "unit", "levels")):
         levels = item.get("levels")
         if not isinstance(levels, list) or not all(map(is_number, levels)):
             raise fail(f"{loc}.levels", "expected a list of numbers")
-        try:
-            factors.append(Factor(name=name, unit=unit, levels=tuple(levels)))
-        except (TaguchiKitError, OverflowError) as exc:
-            raise fail(loc, str(exc)) from None
+        factors.append(build(loc, Factor, name, unit, levels))
 
     responses = []
     for loc, item, name, unit in entries("responses", ("name", "unit", "objective", "target")):
         value = item.get("objective", "")
-        try:
-            if isinstance(value, (list, dict)):  # Objective's own error would hold its repr
-                raise ValueError("not an objective name")
-            objective = Objective(value)
-        except ValueError:
+        objective = next((m for m in Objective if m.value == value), None)
+        if objective is None:
             raise fail(
                 f"{loc}.objective",
                 f"unknown objective {_named(value)}; expected one of: "
                 + ", ".join(m.value for m in Objective),
-            ) from None
+            )
         target = item.get("target")
         if target is not None and not is_number(target):
             raise fail(f"{loc}.target", "expected a number")
-        try:
-            responses.append(
-                ResponseSpec(
-                    name=name,
-                    unit=unit,
-                    objective=objective,
-                    target=float(target) if target is not None else None,
-                )
-            )
-        except (TaguchiKitError, OverflowError) as exc:
-            raise fail(loc, str(exc)) from None
+        responses.append(build(loc, ResponseSpec, name, unit, objective, target))
     dupes = repeated_names(r.name for r in responses)
     if dupes:
         raise fail("responses", f"duplicate response name(s): {dupes}")

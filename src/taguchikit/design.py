@@ -111,13 +111,29 @@ class RunResult:
     def __post_init__(self) -> None:
         try:
             operator.index(self.run_number)
+            if isinstance(self.run_number, bool):  # an int, but True is not run 1
+                raise TypeError
         except TypeError:
             raise ResultsFormatError(
                 f"run number must be an integer, got {type(self.run_number).__name__}"
             ) from None
+        try:
+            items = self.values.items()
+        except AttributeError:
+            raise ResultsFormatError(
+                f"run {self.run_number}: expected a mapping of response name to replicate values,"
+                f" got {type(self.values).__name__}"
+            ) from None
         values = {}
-        for name, ys in self.values.items():
-            ys = values[name] = tuple(map(float, ys))
+        for name, ys in items:
+            try:
+                if isinstance(ys, str):  # iterable, but its characters are not replicates
+                    raise TypeError("got str")
+                ys = values[name] = tuple(map(float, ys))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ResultsFormatError(
+                    f"run {self.run_number}: response {name!r} needs a sequence of numbers: {exc}"
+                ) from None
             if not ys:
                 raise ResultsFormatError(
                     f"run {self.run_number}: response {name!r} has no replicate values"

@@ -29,9 +29,11 @@ def _settings_key(
 ) -> tuple[float, ...]:
     try:
         return tuple(float(settings[name]) for name in factor_names)
-    except KeyError:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         missing = [name for name in factor_names if name not in settings]
-        raise InvalidLevelError(f"settings lack factor(s): {', '.join(missing)}") from None
+        if missing:
+            raise InvalidLevelError(f"settings lack factor(s): {', '.join(missing)}") from None
+        raise InvalidLevelError(f"settings hold a value that is not a number: {exc}") from None
 
 
 def _format_key(key: tuple[float, ...]) -> str:
@@ -107,7 +109,8 @@ class SurrogateEvaluator:
         """``g + sum_f (m[f][L_f] - g)`` by :func:`taguchikit.analysis._additive_sum`, at each level."""
         try:
             levels = [factor.level_index(float(settings[factor.name])) for factor in self.factors]
-        except (KeyError, InvalidLevelError):  # a missing factor is named before a non-level value
+        except (KeyError, TypeError, ValueError, OverflowError):  # InvalidLevelError is a ValueError
+            # A missing factor is named first, then a value float() refuses, then a non-level.
             _settings_key(settings, [factor.name for factor in self.factors])
             raise
         return _additive_sum(self.grand_mean, self.level_means, levels)

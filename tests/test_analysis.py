@@ -454,6 +454,28 @@ class TestValidate:
         assert confirmed.confirmation == 12.5
         assert confirmed.error_percent == pytest.approx(20.0)
 
+    def test_integer_confirmation_is_held_as_a_float(self):
+        confirmed = validate(Prediction("y", "s", (0,), {"x": 1.0}, predicted=10.0), 20)
+        assert type(confirmed.confirmation) is float
+        assert '"confirmation": 20.0,' in prediction_to_json(confirmed)
+
+    @pytest.mark.parametrize(
+        "confirmation, reason",
+        [
+            ("x", "could not convert string to float: 'x'"),
+            (None, "float() argument must be a string or a real number, not 'NoneType'"),
+            (10**400, "int too large to convert to float"),
+        ],
+        ids=["text", "none", "int-beyond-double"],
+    )
+    def test_confirmation_float_cannot_read_is_refused(self, confirmation, reason):
+        prediction = Prediction("y", "s", (0,), {"x": 1.0}, predicted=10.0)
+        confirms = (lambda: validate(prediction, confirmation), lambda: error_percent(10.0, confirmation))
+        for confirm in confirms:
+            with pytest.raises(ConfirmationError) as caught:
+                confirm()
+            assert str(caught.value) == f"confirmation value must be a positive number: {reason}"
+
     @pytest.mark.parametrize("derived", [{"error_percent": math.nan}, {"confirmation": "x"}])
     def test_prediction_document_fields_that_validate_derives_are_not_read(
         self, clip_report, derived
@@ -831,9 +853,33 @@ class TestInputs:
         with pytest.raises(ResultsFormatError, match="^run 1: response 'a' has no replicate values$"):
             RunResult(1, {"a": (), "b": ("x",)})
 
-    @pytest.mark.parametrize("number, kind", [("1", "str"), (1.0, "float"), (None, "NoneType")])
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"y": "12"}, "response 'y' needs a sequence of numbers: got str"),
+            (
+                {"y": ("x",)},
+                "response 'y' needs a sequence of numbers: could not convert string to float: 'x'",
+            ),
+            ({"y": 5.0}, "response 'y' needs a sequence of numbers: 'float' object is not iterable"),
+            (
+                {"y": (10**400,)},
+                "response 'y' needs a sequence of numbers: int too large to convert to float",
+            ),
+            ([("y", (1.0,))], "expected a mapping of response name to replicate values, got list"),
+        ],
+        ids=["str", "text-item", "scalar", "int-beyond-double", "pairs"],
+    )
+    def test_run_result_refuses_values_float_cannot_read(self, values, message):
+        with pytest.raises(ResultsFormatError) as caught:
+            RunResult(4, values)
+        assert str(caught.value) == f"run 4: {message}"
+
+    @pytest.mark.parametrize(
+        "number, kind", [("1", "str"), (1.0, "float"), (None, "NoneType"), (True, "bool")]
+    )
     def test_run_number_must_be_an_integer(self, number, kind):
-        # 1.0 is not counted as run 1, and "1" never reaches a sort among int run numbers.
+        # 1.0 and True are not counted as run 1, and "1" never reaches a sort among int run numbers.
         with pytest.raises(ResultsFormatError, match=f"^run number must be an integer, got {kind}$"):
             RunResult(number, {"y": (1.0,)})
 

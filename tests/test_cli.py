@@ -20,8 +20,11 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from taguchikit import Factor, Objective, ResponseSpec, RunResult, analyze, bind, get_array
+from taguchikit import predict_optimum, validate
 from taguchikit.cli import _parse_config, load_config, main
 from taguchikit.errors import ConfigError
+from taguchikit.reporting import prediction_to_json, report_to_json
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -773,6 +776,11 @@ class TestConfigParsing:
                 "responses[0].target: expected a number",
             ),
             (
+                "    objective: smaller-the-better\n",
+                "    objective: nominal-the-best\n    target: 1" + "0" * 400 + "\n",
+                "responses[0]: int too large to convert to float",
+            ),
+            (
                 "levels: [75, 80, 85]",
                 "levels: [true, 80, 85]",
                 "factors[0].levels: expected a list of numbers",
@@ -783,7 +791,10 @@ class TestConfigParsing:
                 "factors[0].levels: expected a list of numbers",
             ),
         ],
-        ids=["top-level", "factor", "response", "boolean-target", "boolean-level", "quoted-level"],
+        ids=[
+            "top-level", "factor", "response", "boolean-target", "target-beyond-double",
+            "boolean-level", "quoted-level",
+        ],
     )
     def test_unknown_keys_and_boolean_target_rejected(
         self, fixtures_dir, tmp_path, capsys, old, new, message
@@ -1377,6 +1388,28 @@ class TestLayoutInvariance:
                 assert main(["analyze", config, str(results), "--format", "json"]) == 0
         expected = (REPO / "fixtures" / "expected_report.json").read_text(encoding="utf-8")
         assert out.getvalue() == expected
+
+
+def test_a_study_built_in_the_library_writes_the_bytes_the_cli_writes(tmp_path, capsys):
+    """An integer target and confirmation are held as floats, however they arrive."""
+    config, results, prediction = (tmp_path / name for name in ("l4.yaml", "l4.csv", "p.json"))
+    config.write_text(L4_STUDY, encoding="utf-8")
+    results.write_text("run,thickness,strength\n1,8.5,5\n2,9.5,6\n3,7.5,7\n4,10.5,9\n", encoding="utf-8")
+    study = [str(config), str(results)]
+    assert main(["analyze", *study, "--format", "json"]) == 0
+    assert main(["predict", *study, "--response", "thickness", "--out", str(prediction)]) == 0
+    assert main(["validate", str(prediction), "--confirmed", "9", "--format", "json"]) == 0
+
+    factors = [Factor("a", "", (1, 2)), Factor("b", "", (10, 20)), Factor("c", "", (0.5, 1.5))]
+    specs = [
+        ResponseSpec("thickness", "mm", Objective.NOMINAL_IS_BEST, target=10),
+        ResponseSpec("strength", "N", Objective.LARGER_IS_BETTER),
+    ]
+    rows = [(8.5, 5), (9.5, 6), (7.5, 7), (10.5, 9)]
+    measured = [RunResult(i, {"thickness": (t,), "strength": (s,)}) for i, (t, s) in enumerate(rows, 1)]
+    report = analyze(bind(get_array("L4"), factors), measured, specs)
+    confirmed = validate(predict_optimum(report, "thickness"), 9)
+    assert capsys.readouterr().out == report_to_json(report) + prediction_to_json(confirmed)
 
 
 def test_case_study_script_runs(tmp_path, spawn):

@@ -66,6 +66,29 @@ class TestTableEvaluator:
                 "cycle_time",
             )
 
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ("abc", "could not convert string to float: 'abc'"),
+            (None, "float() argument must be a string or a real number, not 'NoneType'"),
+            ([1], "float() argument must be a string or a real number, not 'list'"),
+        ],
+        ids=["text", "none", "list"],
+    )
+    def test_setting_float_cannot_read_is_an_invalid_level(self, clip_report, table, value, reason):
+        surrogate = fit_surrogate(clip_report, "cycle_time")
+        probe = {"mould_temperature": value, "melt_temperature": 215, "injection_pressure": 53}
+        cases = [  # a missing factor is named first
+            (probe, "settings lack factor(s): holding_time"),
+            ({**probe, "holding_time": 3.5}, f"settings hold a value that is not a number: {reason}"),
+        ]
+        for settings, message in cases:
+            evaluations = (lambda: table.evaluate(settings, "cycle_time"), lambda: surrogate.evaluate(settings))
+            for evaluate in evaluations:
+                with pytest.raises(InvalidLevelError) as caught:
+                    evaluate()
+                assert str(caught.value) == message
+
     def test_empty_table_says_it_holds_no_results(self, clip_design):
         empty = TableEvaluator.from_results(clip_design, [])
         with pytest.raises(CombinationNotCoveredError, match="^table holds no results$"):

@@ -212,3 +212,17 @@ def test_each_package_name_the_benchmark_reads_is_still_there():
     } <= tests
     missing = sorted(f"{module}.{name}" for module, name in workload | tests if _bound(module, name) is None)
     assert missing == []
+
+
+def test_the_only_reach_into_another_modules_private_names_is_evaluators_into_analysis():
+    # A new reach fails here; folding evaluators into analysis removes these four.
+    reached = {
+        (path.stem, module, name)
+        for path in (REPO / "src" / "taguchikit").glob("*.py")
+        for module, name in _package_reads(path)
+        if name.startswith("_")
+    }
+    assert reached == {
+        ("evaluators", "taguchikit.analysis", name)
+        for name in ("_additive_sum", "_mean", "_response_index", "_row_replicates")
+    }
