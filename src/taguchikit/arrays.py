@@ -200,8 +200,6 @@ def select_array(factor_count: int, levels: int) -> OrthogonalArray:
     """
     if factor_count < 1:
         raise CapacityError(f"factor count must be >= 1, got {factor_count}")
-    if levels < 2:
-        raise CapacityError(f"level count must be >= 2, got {levels}")
     same_levels = [n for n in CATALOG_NAMES if _CATALOG[n][0] == levels]
     for name in same_levels:  # CATALOG_NAMES is sorted by run count
         if _columns(name) >= factor_count:

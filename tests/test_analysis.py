@@ -107,7 +107,8 @@ class TestSnr:
         )
 
     def test_nominal_on_target_is_singular(self):
-        with pytest.raises(SingularityError):
+        # A zero mean square deviation gives an S/N of +inf, which is beyond the double range.
+        with pytest.raises(SingularityError, match="^nominal-the-best S/N is out of the floating-point range$"):
             snr([4.0, 4.0], Objective.NOMINAL_IS_BEST, target=4.0)
 
     def test_nominal_needs_target(self):
@@ -576,6 +577,12 @@ class TestResultsCsv:
         with pytest.raises(ResultsFormatError, match=r"^row 3: expected 2 cells, got 3$"):
             read_results_csv("run,y\n\n1,2.0,3.0\n")
 
+    def test_rows_of_other_widths_are_refused_though_their_cells_add_up(self):
+        # Six integer cells would split into two rows of three: runs 1 and 4.
+        with pytest.raises(ResultsFormatError) as caught:
+            read_results_csv("run,a,b\n1,2\n3,4,5,6\n")
+        assert str(caught.value) == "row 2: expected 3 cells, got 2"
+
     def test_earlier_row_fault_is_named_before_a_later_width_error(self):
         with pytest.raises(ResultsFormatError) as caught:
             read_results_csv("run,a,b\n1,2.0,3.0\n2,oops,3.0\n3,1.0\n")
@@ -837,10 +844,31 @@ def _read_or_line(text: str):
     return {result.run_number: result.values for result in results}
 
 
+@st.composite
+def _integer_table(draw):
+    """A table of integer cells whose rows may hold more or fewer cells than its header.
+
+    A float cell shifted into the run column fails ``int()``, so only integer
+    cells show a reader that splits the cells of rows of other widths evenly.
+    """
+    width = draw(st.integers(2, 4))
+    cells = st.integers(0, 99).map(str)
+    row = st.one_of(st.just(width), st.integers(1, width + 2)).flatmap(
+        lambda n: st.lists(cells, min_size=n, max_size=n)
+    )
+    lines = [["run", *"abc"[: width - 1]], *draw(st.lists(row, min_size=1, max_size=8))]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 class TestReaderDifferentialProperty:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(text=_edited_text())
     def test_reader_agrees_with_a_naive_line_by_line_csv_read(self, text):
+        assert _read_or_line(text) == _naive_read(text)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(text=_integer_table())
+    def test_integer_rows_of_any_width_read_as_the_naive_read_does(self, text):
         assert _read_or_line(text) == _naive_read(text)
 
 

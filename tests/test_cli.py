@@ -1238,6 +1238,30 @@ class TestConfigTotalityProperty:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
+    # The random key choice above seldom puts a container or a number where text is meant.
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("array", "expected an array name or 'auto'"),
+            ("factors[0].name", "expected a non-empty string"),
+            ("factors[0].unit", "expected a string"),
+            ("responses[1].name", "expected a non-empty string"),
+            ("responses[1].unit", "expected a string"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [["L9"], {"L9": "s"}, 9], ids=["list", "mapping", "number"])
+    def test_text_fields_refuse_a_list_a_mapping_and_a_number(self, tmp_path, capsys, field, message, value):
+        config = yaml.safe_load((REPO / "fixtures" / "clip_moulding.yaml").read_text(encoding="utf-8"))
+        entry = re.fullmatch(r"(\w+)\[(\d)\]\.(\w+)", field)
+        if entry:
+            config[entry[1]][int(entry[2])][entry[3]] = value
+        else:
+            config[field] = value
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["design", str(path)]) == 2
+        assert single_error(capsys) == f"error: {path}: {field}: {message}"
+
 
 def _aliased_list(depth: int) -> str:
     """YAML flow text of a list nested ``depth`` levels, ten entries each: about 50 bytes a level."""
@@ -1367,6 +1391,14 @@ class TestPredictValidateTotalityProperty:
             document.write_text(text, encoding="utf-8")
             argv = ["validate", str(document), f"--confirmed={confirmed}", f"--format={form}"]
             _assert_total(argv, form == "json")
+
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "5", "null"])
+    def test_a_document_that_is_not_an_object_is_refused(self, tmp_path, capsys, text):
+        document = tmp_path / "prediction.json"
+        document.write_text(text, encoding="utf-8")
+        assert main(["validate", str(document), "--confirmed", "22.92"]) == 2
+        # The rest of the line is Python's own reason, which varies across versions.
+        assert single_error(capsys).startswith(f"error: {document}: not a prediction document: ")
 
 
 class TestLayoutInvariance:

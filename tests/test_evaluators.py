@@ -59,12 +59,13 @@ class TestTableEvaluator:
         with pytest.raises(UnknownResponseError, match="warpage"):
             table.evaluate(clip_design.runs[0].settings, "warpage")
 
-    def test_missing_factor_in_query(self, table):
-        with pytest.raises(InvalidLevelError, match="holding_time"):
-            table.evaluate(
-                {"mould_temperature": 80, "melt_temperature": 220, "injection_pressure": 58},
-                "cycle_time",
-            )
+    def test_missing_factor_in_query(self, clip_report, table):
+        query = {"mould_temperature": 80, "melt_temperature": 220, "injection_pressure": 58}
+        surrogate = fit_surrogate(clip_report, "cycle_time")
+        for evaluate in (lambda: table.evaluate(query, "cycle_time"), lambda: surrogate.evaluate(query)):
+            with pytest.raises(InvalidLevelError) as caught:
+                evaluate()
+            assert str(caught.value) == "settings lack factor(s): holding_time"
 
     @pytest.mark.parametrize(
         "value, reason",
@@ -72,8 +73,9 @@ class TestTableEvaluator:
             ("abc", "could not convert string to float: 'abc'"),
             (None, "float() argument must be a string or a real number, not 'NoneType'"),
             ([1], "float() argument must be a string or a real number, not 'list'"),
+            (10**400, "int too large to convert to float"),
         ],
-        ids=["text", "none", "list"],
+        ids=["text", "none", "list", "int-beyond-double"],
     )
     def test_setting_float_cannot_read_is_an_invalid_level(self, clip_report, table, value, reason):
         surrogate = fit_surrogate(clip_report, "cycle_time")
