@@ -3,11 +3,11 @@
 Probe A sets the condition of each ``if`` whose body is one ``raise`` to ``False``;
 probe B drops each member of each ``except`` tuple in turn. Each mutant runs
 ``pytest -x -q`` in a copy of the tree in a temporary directory (the checkout is
-never written) and prints ``killed`` (the suite failed) or ``survived``. Stdlib
-only, and not part of CI:  python scripts/probe_guards.py [--jobs 2] [arrays.py ...]
+never written) and prints ``killed`` (tests failed), ``survived`` (they passed) or
+``error`` (pytest exited otherwise). An unmutated copy runs first and must pass.
+Stdlib only, and not part of CI:  python scripts/probe_guards.py [arrays.py ...]
 """
 
-import argparse
 import ast
 import os
 import shutil
@@ -19,6 +19,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src", "taguchikit")
+JOBS = 2  # mutants run at once
+TIMEOUT = 600.0  # seconds per tier-1 run
 
 
 def mutants(source: str):
@@ -44,31 +46,30 @@ def mutants(source: str):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2, help="mutants run at once")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant run")
-    parser.add_argument("files", nargs="*", help="probe only files whose name ends with one of these")
-    args = parser.parse_args()
-    files = [p for p in sorted((ROOT / PACKAGE).glob("*.py")) if p.name.endswith(tuple(args.files or [""]))]
+    suffixes = tuple(sys.argv[1:] or [""])  # probe only files whose name ends with one of these
+    files = [p for p in sorted((ROOT / PACKAGE).glob("*.py")) if p.name.endswith(suffixes)]
     sites = [(p.name, *site) for p in files for site in mutants(p.read_text(encoding="utf-8"))]
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out", ".work-*")
     with tempfile.TemporaryDirectory(prefix="probe-guards-") as scratch:
 
         def run(k: int) -> str:
-            name, line, label, text = sites[k]
             tree = Path(shutil.copytree(ROOT, Path(scratch, str(k)), ignore=ignore))  # a fresh copy each
-            (tree / PACKAGE / name).write_text(text, encoding="utf-8")
+            if k >= 0:
+                name, line, label, text = sites[k]
+                (tree / PACKAGE / name).write_text(text, encoding="utf-8")
             env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
             argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
             try:
-                done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, timeout=args.timeout)
-                verdict = "survived" if done.returncode == 0 else "killed"
+                done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
+                verdict = {0: "survived", 1: "killed"}.get(done.returncode, f"error (exit {done.returncode})")
             except subprocess.TimeoutExpired:
                 verdict = "killed (timeout)"
             shutil.rmtree(tree)
-            return f"{verdict:9} {name}:{line}  {label}"
+            return verdict if k < 0 else f"{verdict:9} {name}:{line}  {label}"
 
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        if (baseline := run(-1)) != "survived":  # tier-1 must pass before a mutant's failure means anything
+            sys.exit(f"tier-1 on an unmutated copy gave {baseline!r}, not a pass; no mutant run")
+        with ThreadPoolExecutor(JOBS) as pool:
             for result in pool.map(run, range(len(sites))):
                 print(result, flush=True)
     return 0

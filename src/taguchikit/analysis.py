@@ -106,6 +106,10 @@ def snr(
             if target is None:
                 raise SingularityError("nominal-the-best S/N needs a target")
             msd = _mean([(y - target) ** 2 for y in values])
+            if msd == 0.0:
+                raise SingularityError(
+                    "nominal-the-best S/N undefined when every value equals the target"
+                )
     except (OverflowError, ZeroDivisionError):
         msd = math.inf
     if not 0.0 < msd < math.inf:

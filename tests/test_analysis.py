@@ -107,8 +107,8 @@ class TestSnr:
         )
 
     def test_nominal_on_target_is_singular(self):
-        # A zero mean square deviation gives an S/N of +inf, which is beyond the double range.
-        with pytest.raises(SingularityError, match="^nominal-the-best S/N is out of the floating-point range$"):
+        message = "^nominal-the-best S/N undefined when every value equals the target$"
+        with pytest.raises(SingularityError, match=message):
             snr([4.0, 4.0], Objective.NOMINAL_IS_BEST, target=4.0)
 
     def test_nominal_needs_target(self):
