@@ -4,8 +4,9 @@ Probe A sets the condition of each ``if`` whose body is one ``raise`` to ``False
 probe B drops each member of each ``except`` tuple in turn. Each mutant runs
 ``pytest -x -q`` in a copy of the tree in a temporary directory (the checkout is
 never written) and prints ``killed`` (tests failed), ``survived`` (they passed) or
-``error`` (pytest exited otherwise). An unmutated copy runs first and must pass.
-Stdlib only, and not part of CI:  python scripts/probe_guards.py [arrays.py ...]
+``error`` (pytest exited otherwise), then one tally line ``killed N, survived N, error N``.
+An unmutated copy runs first and must pass. Stdlib only; the probe-guards workflow runs
+it weekly and fails on a ``survived`` line:  python scripts/probe_guards.py [arrays.py ...]
 """
 
 import ast
@@ -69,9 +70,12 @@ def main() -> int:
 
         if (baseline := run(-1)) != "survived":  # tier-1 must pass before a mutant's failure means anything
             sys.exit(f"tier-1 on an unmutated copy gave {baseline!r}, not a pass; no mutant run")
+        tally = dict.fromkeys(("killed", "survived", "error"), 0)
         with ThreadPoolExecutor(JOBS) as pool:
             for result in pool.map(run, range(len(sites))):
                 print(result, flush=True)
+                tally[result.split()[0]] += 1
+    print(", ".join(f"{verdict} {count}" for verdict, count in tally.items()))
     return 0
 
 

@@ -3,8 +3,8 @@
 Lay out fractional-factorial experiments on standard orthogonal arrays,
 compute signal-to-noise ratios and main effects from measured results,
 rank factor influence, and predict the optimum response with an additive
-model, with evaluators that replay recorded results or extend a
-screening to untried level combinations.
+model, with a surrogate evaluator that extends a screening to untried
+level combinations.
 """
 
 import importlib
@@ -26,7 +26,6 @@ _EXPORTS = {
     "Run": "design",
     "RunResult": "design",
     "SurrogateEvaluator": "evaluators",
-    "TableEvaluator": "evaluators",
     "TaguchiKitError": "errors",
     "VerificationReport": "arrays",
     "analyze": "analysis",

@@ -1,12 +1,12 @@
 """Response backends standing in for the external process.
 
-Two desk-scale evaluators cover what a press or a finite-element run
-would normally answer: :class:`TableEvaluator` replays recorded results
-for exactly the combinations that were run, and :class:`SurrogateEvaluator`
-extends a balanced screening to every level combination through the same
-additive model, evaluated by :func:`~taguchikit.analysis.predict_optimum`'s
-sum at :meth:`Factor.level_index`'s levels. Both evaluators are immutable
-and safe to share across threads.
+:class:`SurrogateEvaluator` answers what a press or a finite-element run
+would normally answer: it extends a balanced screening to every level
+combination through the same additive model, by
+:func:`~taguchikit.analysis.predict_optimum`'s sum at
+:meth:`Factor.level_index`'s levels, and is immutable and thread-safe.
+:class:`TableEvaluator` replays recorded results; it is not exported and
+remains only for the benchmark's split_replicates workload.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from taguchikit.design import Design, Factor, RunResult, number_label
 from taguchikit.errors import CombinationNotCoveredError, InvalidLevelError, SingularityError
 from taguchikit.errors import UnbalancedDesignError
 
-__all__ = ["TableEvaluator", "SurrogateEvaluator", "fit_surrogate"]
+__all__ = ["SurrogateEvaluator", "fit_surrogate"]
 
 
 def _settings_key(
@@ -42,7 +42,7 @@ def _format_key(key: tuple[float, ...]) -> str:
 
 @dataclass(frozen=True)
 class TableEvaluator:
-    """Replays recorded run results, keyed by the exact level combination.
+    """Replays recorded run results by exact level combination, for the benchmark only.
 
     Keys use the declared level values verbatim (levels are enumerated
     constants, not continuous inputs), so a miss is a miss; the error

@@ -13,6 +13,8 @@ from statistics import fmean
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from _grouping import insert_strays, naive_grouping, naive_means, scattered_results, split_and_shuffled
+
 from taguchikit.analysis import (
     Objective,
     Prediction,
@@ -36,7 +38,6 @@ from taguchikit.errors import (
     SingularityError,
     UnknownResponseError,
 )
-from taguchikit.evaluators import TableEvaluator
 from taguchikit.reporting import (
     fixed,
     prediction_from_json_dict,
@@ -214,19 +215,6 @@ class TestLevelMeans:
         assert level_means(clip_design, split, "b") == level_means(clip_design, combined, "b")
 
 
-@st.composite
-def split_and_shuffled(draw, recorded):
-    """The recorded replicates spread over up to three results per run, in random order."""
-    parts: dict[tuple[int, int], dict[str, list[float]]] = {}
-    for result in recorded:
-        for name, ys in result.values.items():
-            for y in ys:
-                part = draw(st.integers(0, 2))
-                parts.setdefault((result.run_number, part), {}).setdefault(name, []).append(y)
-    results = [RunResult(run, values) for (run, _), values in parts.items()]
-    return draw(st.permutations(results))
-
-
 class TestSplitReplicates:
     @given(data=st.data())
     def test_split_input_reproduces_the_frozen_report(
@@ -236,47 +224,15 @@ class TestSplitReplicates:
         report = analyze(clip_design, split, clip_config.responses)
         expected = (fixtures_dir / "expected_report.json").read_text(encoding="utf-8")
         assert report_to_json(report) == expected
-        table = TableEvaluator.from_results(clip_design, split)
+        grouped = naive_grouping(clip_design, split)
         for analysis in report.responses:
-            replayed = [table.evaluate(run.settings, analysis.spec.name) for run in clip_design.runs]
-            assert replayed == list(analysis.run_means)
-
-
-@st.composite
-def scattered_results(draw, design, names):
-    """Per run and response 1-4 replicates, scattered over 1-5 results per run. A result
-    may carry only some of the responses, or none, its keys in any order; the results are
-    shuffled."""
-    results = []
-    for run in design.runs:
-        carried: list[dict[str, list[float]]] = [{} for _ in range(draw(st.integers(1, 5)))]
-        for name in names:
-            for y in draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4)):
-                carried[draw(st.integers(0, len(carried) - 1))].setdefault(name, []).append(y)
-        for values in carried:
-            order = draw(st.permutations(list(values)))
-            results.append(RunResult(run.number, {name: values[name] for name in order}))
-    return draw(st.permutations(results))
-
-
-def naive_grouping(design, results):
-    """Each design run's replicates per response, in the order they first appear, by one
-    scan of every result per run."""
-    grouped = []
-    for run in design.runs:
-        values: dict[str, tuple[float, ...]] = {}
-        for result in results:
-            if result.run_number == run.number:
-                for name, ys in result.values.items():
-                    values[name] = values.get(name, ()) + ys
-        grouped.append(values)
-    return grouped
+            assert list(analysis.run_means) == naive_means(grouped, analysis.spec.name)
 
 
 class TestGroupingProperty:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(data=st.data())
-    def test_analysis_and_table_group_as_a_naive_scan_does(self, clip_design, clip_config, data):
+    def test_analysis_groups_as_a_naive_scan_does(self, clip_design, clip_config, data):
         names = [spec.name for spec in clip_config.responses]
         results = data.draw(scattered_results(clip_design, names))
         grouped = naive_grouping(clip_design, results)
@@ -285,27 +241,12 @@ class TestGroupingProperty:
         assert report_to_json(report) == report_to_json(
             analyze(clip_design, merged, clip_config.responses)
         )
-        table = TableEvaluator.from_results(clip_design, results)
         for name in names:
-            means = [math.fsum(values[name]) / len(values[name]) for values in grouped]
-            assert list(report.response(name).run_means) == means
-            assert [table.evaluate(run.settings, name) for run in clip_design.runs] == means
-        order = dict.fromkeys(name for values in grouped for name in values)
-        with pytest.raises(UnknownResponseError) as caught:
-            table.evaluate(clip_design.runs[0].settings, "warpage")
-        assert str(caught.value) == "no response named 'warpage'; available: " + ", ".join(order)
-        strays = data.draw(st.lists(st.sampled_from([-1, 0, 10, 27]), min_size=1, max_size=3))
-        for number in strays:
-            at = data.draw(st.integers(0, len(results)))
-            results.insert(at, RunResult(number, {names[0]: (1.0,)}))
-        message = "results reference run number(s) not in the design: " + ", ".join(
-            map(str, sorted(set(strays)))
-        )
-        for group in (lambda: analyze(clip_design, results, clip_config.responses),
-                      lambda: TableEvaluator.from_results(clip_design, results)):
-            with pytest.raises(IncompleteResultsError) as caught:
-                group()
-            assert str(caught.value) == message
+            assert list(report.response(name).run_means) == naive_means(grouped, name)
+        message = insert_strays(data, results, names[0])
+        with pytest.raises(IncompleteResultsError) as caught:
+            analyze(clip_design, results, clip_config.responses)
+        assert str(caught.value) == message
 
 
 class TestRanking:

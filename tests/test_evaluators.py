@@ -1,4 +1,4 @@
-"""Table replay and additive surrogate evaluators."""
+"""The additive surrogate evaluator, and the table replay that only the benchmark still calls."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ from statistics import fmean
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from _grouping import insert_strays, naive_grouping, naive_means, scattered_results, split_and_shuffled
 
 from taguchikit.analysis import Objective, ResponseSpec, analyze, predict_optimum
 from taguchikit.arrays import OrthogonalArray, get_array, select_array, verify_orthogonality
@@ -21,17 +23,41 @@ from taguchikit.errors import (
     UnbalancedDesignError,
     UnknownResponseError,
 )
-from taguchikit.evaluators import TableEvaluator, fit_surrogate
+from taguchikit.evaluators import TableEvaluator
+from taguchikit.evaluators import fit_surrogate
 
 CYCLE = (49.4161, 51.0519, 54.4495, 29.3798, 30.4038, 32.3585, 22.925, 23.4541, 24.4298)
 
+UNREADABLE_SETTING = pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("abc", "could not convert string to float: 'abc'"),
+        (None, "float() argument must be a string or a real number, not 'NoneType'"),
+        ([1], "float() argument must be a string or a real number, not 'list'"),
+        (10**400, "int too large to convert to float"),
+    ],
+    ids=["text", "none", "list", "int-beyond-double"],
+)
 
-@pytest.fixture(scope="module")
-def table(clip_design, clip_results):
-    return TableEvaluator.from_results(clip_design, clip_results)
+
+def unreadable_setting_cases(value, reason):
+    """Settings with ``value`` for a factor, without and then with the missing one, and the
+    message each must raise: a missing factor is named first."""
+    probe = {"mould_temperature": value, "melt_temperature": 215, "injection_pressure": 53}
+    return [
+        (probe, "settings lack factor(s): holding_time"),
+        ({**probe, "holding_time": 3.5}, f"settings hold a value that is not a number: {reason}"),
+    ]
 
 
 class TestTableEvaluator:
+    """The benchmark's table replay. Each test here builds a table and nothing else, so the
+    class goes whole when the benchmark stops calling it."""
+
+    @pytest.fixture(scope="class")
+    def table(self, clip_design, clip_results):
+        return TableEvaluator.from_results(clip_design, clip_results)
+
     def test_replays_recorded_run5(self, table):
         settings = {
             "mould_temperature": 80,
@@ -59,37 +85,23 @@ class TestTableEvaluator:
         with pytest.raises(UnknownResponseError, match="warpage"):
             table.evaluate(clip_design.runs[0].settings, "warpage")
 
-    def test_missing_factor_in_query(self, clip_report, table):
+    def test_missing_factor_in_query(self, table):
         query = {"mould_temperature": 80, "melt_temperature": 220, "injection_pressure": 58}
-        surrogate = fit_surrogate(clip_report, "cycle_time")
-        for evaluate in (lambda: table.evaluate(query, "cycle_time"), lambda: surrogate.evaluate(query)):
-            with pytest.raises(InvalidLevelError) as caught:
-                evaluate()
-            assert str(caught.value) == "settings lack factor(s): holding_time"
+        with pytest.raises(InvalidLevelError) as caught:
+            table.evaluate(query, "cycle_time")
+        assert str(caught.value) == "settings lack factor(s): holding_time"
 
-    @pytest.mark.parametrize(
-        "value, reason",
-        [
-            ("abc", "could not convert string to float: 'abc'"),
-            (None, "float() argument must be a string or a real number, not 'NoneType'"),
-            ([1], "float() argument must be a string or a real number, not 'list'"),
-            (10**400, "int too large to convert to float"),
-        ],
-        ids=["text", "none", "list", "int-beyond-double"],
-    )
-    def test_setting_float_cannot_read_is_an_invalid_level(self, clip_report, table, value, reason):
-        surrogate = fit_surrogate(clip_report, "cycle_time")
-        probe = {"mould_temperature": value, "melt_temperature": 215, "injection_pressure": 53}
-        cases = [  # a missing factor is named first
-            (probe, "settings lack factor(s): holding_time"),
-            ({**probe, "holding_time": 3.5}, f"settings hold a value that is not a number: {reason}"),
-        ]
-        for settings, message in cases:
-            evaluations = (lambda: table.evaluate(settings, "cycle_time"), lambda: surrogate.evaluate(settings))
-            for evaluate in evaluations:
-                with pytest.raises(InvalidLevelError) as caught:
-                    evaluate()
-                assert str(caught.value) == message
+    def test_missing_factor_is_named_before_a_non_level_value(self, table):
+        probe = {"mould_temperature": 82, "melt_temperature": 215, "injection_pressure": 53}
+        with pytest.raises(InvalidLevelError, match=r"^settings lack factor\(s\): holding_time$"):
+            table.evaluate(probe, "cycle_time")
+
+    @UNREADABLE_SETTING
+    def test_setting_float_cannot_read_is_an_invalid_level(self, table, value, reason):
+        for settings, message in unreadable_setting_cases(value, reason):
+            with pytest.raises(InvalidLevelError) as caught:
+                table.evaluate(settings, "cycle_time")
+            assert str(caught.value) == message
 
     def test_empty_table_says_it_holds_no_results(self, clip_design):
         empty = TableEvaluator.from_results(clip_design, [])
@@ -118,6 +130,34 @@ class TestTableEvaluator:
         with pytest.raises(SingularityError, match=message):
             evaluator.evaluate({"x": 1.0}, "y")
         assert evaluator.evaluate({"x": 2.0}, "y") == 20.0
+
+    @given(data=st.data())
+    def test_split_input_replays_each_runs_mean(self, clip_design, clip_results, clip_config, data):
+        split = data.draw(split_and_shuffled(clip_results))
+        table = TableEvaluator.from_results(clip_design, split)
+        grouped = naive_grouping(clip_design, split)
+        for spec in clip_config.responses:
+            replayed = [table.evaluate(run.settings, spec.name) for run in clip_design.runs]
+            assert replayed == naive_means(grouped, spec.name)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_table_groups_as_a_naive_scan_does(self, clip_design, clip_config, data):
+        names = [spec.name for spec in clip_config.responses]
+        results = data.draw(scattered_results(clip_design, names))
+        grouped = naive_grouping(clip_design, results)
+        table = TableEvaluator.from_results(clip_design, results)
+        for name in names:
+            replayed = [table.evaluate(run.settings, name) for run in clip_design.runs]
+            assert replayed == naive_means(grouped, name)
+        order = dict.fromkeys(name for values in grouped for name in values)
+        with pytest.raises(UnknownResponseError) as caught:
+            table.evaluate(clip_design.runs[0].settings, "warpage")
+        assert str(caught.value) == "no response named 'warpage'; available: " + ", ".join(order)
+        message = insert_strays(data, results, names[0])
+        with pytest.raises(IncompleteResultsError) as caught:
+            TableEvaluator.from_results(clip_design, results)
+        assert str(caught.value) == message
 
 
 class TestSurrogate:
@@ -191,13 +231,24 @@ class TestSurrogate:
                 }
             )
 
-    def test_missing_factor_is_named_before_a_non_level_value(self, clip_report, table):
+    def test_missing_factor_in_query(self, clip_report):
+        query = {"mould_temperature": 80, "melt_temperature": 220, "injection_pressure": 58}
+        with pytest.raises(InvalidLevelError) as caught:
+            fit_surrogate(clip_report, "cycle_time").evaluate(query)
+        assert str(caught.value) == "settings lack factor(s): holding_time"
+
+    def test_missing_factor_is_named_before_a_non_level_value(self, clip_report):
         probe = {"mould_temperature": 82, "melt_temperature": 215, "injection_pressure": 53}
-        message = r"^settings lack factor\(s\): holding_time$"
-        with pytest.raises(InvalidLevelError, match=message):
+        with pytest.raises(InvalidLevelError, match=r"^settings lack factor\(s\): holding_time$"):
             fit_surrogate(clip_report, "cycle_time").evaluate(probe)
-        with pytest.raises(InvalidLevelError, match=message):
-            table.evaluate(probe, "cycle_time")
+
+    @UNREADABLE_SETTING
+    def test_setting_float_cannot_read_is_an_invalid_level(self, clip_report, value, reason):
+        surrogate = fit_surrogate(clip_report, "cycle_time")
+        for settings, message in unreadable_setting_cases(value, reason):
+            with pytest.raises(InvalidLevelError) as caught:
+                surrogate.evaluate(settings)
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize(
         ("point", "levels"),

@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 import taguchikit
+import taguchikit.evaluators
 from taguchikit.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -33,7 +34,15 @@ def test_star_import_binds_every_name():
     exec("from taguchikit import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(taguchikit.__all__)
-    assert len(namespace) == 29
+    assert len(namespace) == 28
+
+
+def test_the_table_replay_is_reached_only_by_its_module_path():
+    # Only the benchmark calls TableEvaluator, through taguchikit.evaluators.
+    with pytest.raises(AttributeError):
+        taguchikit.TableEvaluator
+    assert "TableEvaluator" not in taguchikit.evaluators.__all__
+    assert taguchikit.evaluators.TableEvaluator.__module__ == "taguchikit.evaluators"
 
 
 def _run_python(spawn, code: str, *options: str) -> str:
@@ -102,13 +111,17 @@ def _modules_loaded_by(spawn, argv: list[str], bare: bool = False) -> set[str]:
 
 
 STUDY = [str(REPO / "fixtures" / name) for name in ("clip_moulding.yaml", "clip_moulding_results.csv")]
+# Modules each command must not load; no command reaches the evaluators, which only the benchmark calls.
 COMMANDS = pytest.mark.parametrize(
     "argv,absent",
     [
-        (["design", STUDY[0]], {"json", "decimal"}),
-        (["analyze", *STUDY, "--format", "text"], {"json"}),
-        (["analyze", *STUDY, "--format", "json"], {"decimal"}),
-        (["predict", *STUDY, "--response", "cycle_time", "--format", "json"], {"decimal"}),
+        (["design", STUDY[0]], {"json", "decimal", "taguchikit.evaluators"}),
+        (["analyze", *STUDY, "--format", "text"], {"json", "taguchikit.evaluators"}),
+        (["analyze", *STUDY, "--format", "json"], {"decimal", "taguchikit.evaluators"}),
+        (
+            ["predict", *STUDY, "--response", "cycle_time", "--format", "json"],
+            {"decimal", "taguchikit.evaluators"},
+        ),
     ],
     ids=["design", "analyze-text", "analyze-json", "predict-json"],
 )
@@ -131,7 +144,8 @@ def test_validate_in_a_bare_interpreter_loads_neither_typing_nor_pathlib(tmp_pat
     assert main(["predict", *STUDY, "--response", "cycle_time", "--out", prediction]) == 0
     argv = ["validate", prediction, "--confirmed", "22.92", "--format", "json"]
     argv += ["--out", str(tmp_path / "out")]
-    assert not {"typing", "pathlib", "decimal"} & _modules_loaded_by(spawn, argv, bare=True)
+    absent = {"typing", "pathlib", "decimal", "taguchikit.evaluators"}
+    assert not absent & _modules_loaded_by(spawn, argv, bare=True)
 
 
 def test_each_call_the_benchmark_tracer_wraps_is_still_there():
@@ -215,7 +229,8 @@ def test_each_package_name_the_benchmark_reads_is_still_there():
 
 
 def test_the_only_reach_into_another_modules_private_names_is_evaluators_into_analysis():
-    # A new reach fails here; folding evaluators into analysis removes these four.
+    # A new reach fails here. Deleting TableEvaluator and folding the surrogate into
+    # analysis, as ROADMAP plans for the benchmark's next change, removes all four.
     reached = {
         (path.stem, module, name)
         for path in (REPO / "src" / "taguchikit").glob("*.py")
