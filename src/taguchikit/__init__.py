@@ -27,7 +27,6 @@ _EXPORTS = {
     "RunResult": "design",
     "SurrogateEvaluator": "evaluators",
     "TaguchiKitError": "errors",
-    "VerificationReport": "arrays",
     "analyze": "analysis",
     "bind": "design",
     "error_percent": "analysis",

@@ -1,4 +1,4 @@
-"""Catalog and verification of standard orthogonal arrays.
+"""Catalog of standard orthogonal arrays, and the check that lists their violations.
 
 Each catalog array is stored as one string of digit rows in its canonical
 published row order, so that run numbers in reports always line up with
@@ -20,7 +20,6 @@ from taguchikit.errors import ArrayStructureError, CapacityError, UnknownArrayEr
 __all__ = [
     "OrthogonalArray",
     "Violation",
-    "VerificationReport",
     "CATALOG_NAMES",
     "get_array",
     "select_array",
@@ -34,8 +33,8 @@ class OrthogonalArray:
 
     Construction checks structure only (rectangular, integer cells in
     range). Balance and pairwise orthogonality are checked separately by
-    :func:`verify_orthogonality`, so deliberately broken matrices can
-    still be represented and diagnosed.
+    :func:`verify_orthogonality`, which returns each violation it finds,
+    so deliberately broken matrices can still be represented and diagnosed.
     """
 
     name: str
@@ -75,19 +74,19 @@ class OrthogonalArray:
         return len(self.levels_per_column)
 
     @cached_property
-    def _report(self) -> VerificationReport:
-        """The :func:`verify_orthogonality` report, counted on first use and kept."""
+    def _report(self) -> tuple[Violation, ...]:
+        """The :func:`verify_orthogonality` violations, counted on first use and kept."""
         columns = tuple(zip(*self.cells))
         levels = self.levels_per_column
         indices = range(len(levels))
-        found: dict[int, list[Violation]] = {1: [], 2: []}
+        found = []
         for group in chain(combinations(indices, 1), combinations(indices, 2)):
             counts = Counter(zip(*(columns[j] for j in group)))
             expected = self.runs / prod(levels[j] for j in group)
             for key in product(*(range(levels[j]) for j in group)):
                 if counts[key] != expected:
-                    found[len(group)].append(Violation(group, key, counts[key], expected))
-        return VerificationReport(balance_violations=tuple(found[1]), pair_violations=tuple(found[2]))
+                    found.append(Violation(group, key, counts[key], expected))
+        return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -104,28 +103,19 @@ class Violation:
     expected: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    balance_violations: tuple[Violation, ...]
-    pair_violations: tuple[Violation, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.balance_violations and not self.pair_violations
-
-
-def verify_orthogonality(array: OrthogonalArray) -> VerificationReport:
+def verify_orthogonality(array: OrthogonalArray) -> tuple[Violation, ...]:
     """Check column balance and strength-2 orthogonality with one counting rule.
 
     In every single column and every pair of columns, each level tuple must
     appear ``runs / (product of the group's level counts)`` times: balance is
     strength 1, pairwise coverage strength 2 (vacuous for a single column).
-    Violations come column by column, then pair by pair, each in level order.
+    Violations come column by column, then pair by pair, each in level order;
+    an empty tuple means the array passed.
 
     A ragged matrix or an out-of-range cell is already rejected by the
     :class:`OrthogonalArray` constructor, so every array reaching this
     check can be counted. The array is immutable, so it is counted once:
-    later calls return the same report.
+    later calls return the same tuple.
     """
     return array._report
 

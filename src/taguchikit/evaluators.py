@@ -121,12 +121,13 @@ def fit_surrogate(report: AnalysisReport, response: str) -> SurrogateEvaluator:
 
     The fitted surrogate agrees with the optimum-prediction operation at
     every level combination of the source design. Requires a balanced
-    design; level means from unbalanced level counts would not be comparable.
+    design, though pair violations alone do not stop the fit; level means
+    from unbalanced level counts would not be comparable.
     """
     analysis = report.response(response)
-    violations = verify_orthogonality(report.design.array).balance_violations
-    if violations:
-        broken = sorted({v.columns[0] + 1 for v in violations})
+    violations = verify_orthogonality(report.design.array)  # () if valid; balance ones first
+    broken = violations and dict.fromkeys(v.columns[0] + 1 for v in violations if len(v.columns) == 1)
+    if broken:
         raise UnbalancedDesignError(
             "surrogate requires a balanced design; unbalanced column(s): "
             + ", ".join(map(str, broken))

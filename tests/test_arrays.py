@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,9 +92,7 @@ class TestCatalog:
 class TestVerify:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_every_catalog_array_passes(self, name):
-        report = verify_orthogonality(get_array(name))
-        assert report.passed
-        assert report.balance_violations == () and report.pair_violations == ()
+        assert verify_orthogonality(get_array(name)) == ()
 
     def test_l9_pairwise_coverage_counted_independently(self):
         # Exhaustive oracle: every ordered level pair once per column pair.
@@ -110,16 +108,21 @@ class TestVerify:
         rows = [list(r) for r in l9.cells]
         rows[0][1] = 1  # level 0 -> 1 in column 2
         report = verify_orthogonality(OrthogonalArray("L9-broken", l9.levels_per_column, rows))
-        assert not report.passed and report.balance_violations
-        observed = {
-            (v.levels, v.observed) for v in report.balance_violations if v.columns == (1,)
-        }
+        assert report != () and [v for v in report if len(v.columns) == 1]
+        observed = {(v.levels, v.observed) for v in report if v.columns == (1,)}
         assert ((0,), 2) in observed and ((1,), 4) in observed
 
     def test_single_column_passes_vacuously(self):
         report = verify_orthogonality(OrthogonalArray("single", (2,), ((0,), (1,), (0,), (1,))))
-        assert report.passed
-        assert report.pair_violations == ()
+        assert report == ()
+
+    def test_balance_violations_come_first_then_pairs_each_by_column_then_level(self):
+        rows = ((1, 1, 1, 1),) + get_array("L9").cells[1:]  # run 1 moved from level 0 to 1
+        report = verify_orthogonality(OrthogonalArray("L9-run1", (3,) * 4, rows))
+        expected = [((j,), (level,), 2 + 2 * level) for j in range(4) for level in (0, 1)]
+        pairs = combinations(range(4), 2)
+        expected += [(pair, (level, level), 2 * level) for pair in pairs for level in (0, 1)]
+        assert [(v.columns, v.levels, v.observed) for v in report] == expected
 
     def test_report_is_counted_once_per_array(self):
         array = get_array("L9")
@@ -129,7 +132,7 @@ class TestVerify:
         first, second = (OrthogonalArray("lopsided", (2,), ((0,), (0,), (1,))) for _ in range(2))
         report = verify_orthogonality(first)  # the kept report is no field of the array
         assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
-        assert not report.passed
+        assert report != ()
         assert verify_orthogonality(second) == report
 
     # A structurally broken matrix never reaches the check: the constructor refuses it.
@@ -157,7 +160,7 @@ class TestVerify:
         rows = [list(r) for r in array.cells]
         rows[row][col] = new
         mutated = OrthogonalArray(f"{name}-mut", array.levels_per_column, rows)
-        assert not verify_orthogonality(mutated).passed
+        assert verify_orthogonality(mutated) != ()
 
 
 class TestSelect:
@@ -173,7 +176,7 @@ class TestSelect:
         for count in range(1, largest + 1):
             array = select_array(count, levels)
             assert array.columns == count
-            assert verify_orthogonality(array).passed
+            assert verify_orthogonality(array) == ()
 
     def test_readme_pattern_binds_three_factors(self):
         factors = [Factor(name, "", (1.0, 2.0, 3.0)) for name in "abc"]

@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 import taguchikit
+import taguchikit.arrays
 import taguchikit.evaluators
 from taguchikit.cli import main
 
@@ -34,7 +35,7 @@ def test_star_import_binds_every_name():
     exec("from taguchikit import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(taguchikit.__all__)
-    assert len(namespace) == 28
+    assert len(namespace) == 27
 
 
 def test_the_table_replay_is_reached_only_by_its_module_path():
@@ -43,6 +44,13 @@ def test_the_table_replay_is_reached_only_by_its_module_path():
         taguchikit.TableEvaluator
     assert "TableEvaluator" not in taguchikit.evaluators.__all__
     assert taguchikit.evaluators.TableEvaluator.__module__ == "taguchikit.evaluators"
+
+
+def test_the_orthogonality_check_has_no_report_class():
+    # verify_orthogonality returns its violations as a tuple; no wrapper is public.
+    with pytest.raises(AttributeError):
+        taguchikit.VerificationReport
+    assert "VerificationReport" not in taguchikit.arrays.__all__
 
 
 def _run_python(spawn, code: str, *options: str) -> str:
