@@ -259,13 +259,6 @@ class ResponseAnalysis:
     ties: tuple[int, ...]
 
 
-def _response_index(names: Sequence[str], name: str) -> int:
-    """Position of the response named ``name`` among ``names``."""
-    if name not in names:
-        raise UnknownResponseError(f"no response named {name!r}; available: " + ", ".join(names))
-    return names.index(name)
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     design: Design
@@ -273,7 +266,9 @@ class AnalysisReport:
 
     def response(self, name: str) -> ResponseAnalysis:
         names = tuple(r.spec.name for r in self.responses)
-        return self.responses[_response_index(names, name)]
+        if name not in names:
+            raise UnknownResponseError(f"no response named {name!r}; available: " + ", ".join(names))
+        return self.responses[names.index(name)]
 
     def optimal_settings(self, name: str) -> dict[str, float]:
         return predict_optimum(self, name).settings

@@ -51,10 +51,6 @@ class UnknownResponseError(TaguchiKitError, LookupError):
     """Response name not present in the analysis or evaluator."""
 
 
-class CombinationNotCoveredError(TaguchiKitError, LookupError):
-    """A table-backed evaluator has no recorded row for the queried settings."""
-
-
 class UnbalancedDesignError(TaguchiKitError, ValueError):
     """Operation requires a balanced design and the source design is not."""
 

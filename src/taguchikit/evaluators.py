@@ -5,8 +5,9 @@ would normally answer: it extends a balanced screening to every level
 combination through the same additive model, by
 :func:`~taguchikit.analysis.predict_optimum`'s sum at
 :meth:`Factor.level_index`'s levels, and is immutable and thread-safe.
-:class:`TableEvaluator` replays recorded results; it is not exported and
-remains only for the benchmark's split_replicates workload.
+:class:`TableEvaluator` replays recorded results and raises a plain
+``KeyError`` for anything else; it is not exported and remains only for
+the benchmark's split_replicates workload.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from taguchikit.analysis import AnalysisReport, _additive_sum, _mean
-from taguchikit.analysis import _row_replicates, _response_index
+from taguchikit.analysis import AnalysisReport, _additive_sum, _mean, _row_replicates
 from taguchikit.arrays import verify_orthogonality
-from taguchikit.design import Design, Factor, RunResult, number_label
-from taguchikit.errors import CombinationNotCoveredError, InvalidLevelError, SingularityError
-from taguchikit.errors import UnbalancedDesignError
+from taguchikit.design import Design, Factor, RunResult
+from taguchikit.errors import InvalidLevelError, UnbalancedDesignError
 
 __all__ = ["SurrogateEvaluator", "fit_surrogate"]
 
@@ -36,58 +35,26 @@ def _settings_key(
         raise InvalidLevelError(f"settings hold a value that is not a number: {exc}") from None
 
 
-def _format_key(key: tuple[float, ...]) -> str:
-    return "(" + ", ".join(number_label(v) for v in key) + ")"
-
-
 @dataclass(frozen=True)
 class TableEvaluator:
     """Replays recorded run results by exact level combination, for the benchmark only.
 
-    Keys use the declared level values verbatim (levels are enumerated
-    constants, not continuous inputs), so a miss is a miss; the error
-    lists the nearest recorded combinations to help diagnose the query.
+    Keys use the declared level values verbatim. A combination or response not
+    recorded raises a plain :class:`KeyError`, outside the package's error contract.
     """
 
     factor_names: tuple[str, ...]
-    response_names: tuple[str, ...]
     _index: dict[tuple[float, ...], dict[str, list[float]]]
 
     @classmethod
     def from_results(cls, design: Design, results: Sequence[RunResult]) -> "TableEvaluator":
         """One entry per run, its replicates grouped across however many results carried them."""
         rows = _row_replicates(design, results)
-        index = {
-            _settings_key(run.settings, design.factor_names): row
-            for run, row in zip(design.runs, rows)
-            if row
-        }
-        response_names = tuple(dict.fromkeys(name for row in rows for name in row))
-        return cls(factor_names=design.factor_names, response_names=response_names, _index=index)
+        keys = (_settings_key(run.settings, design.factor_names) for run in design.runs)
+        return cls(factor_names=design.factor_names, _index=dict(zip(keys, rows)))
 
     def evaluate(self, settings: Mapping[str, float], response: str) -> float:
-        if not self.response_names:
-            raise CombinationNotCoveredError("table holds no results")
-        _response_index(self.response_names, response)
-        key = _settings_key(settings, self.factor_names)
-        hit = self._index.get(key)
-        if hit is None or not hit.get(response):
-            nearest = self._nearest(key)
-            raise CombinationNotCoveredError(
-                f"no recorded result at {_format_key(key)}; nearest recorded: "
-                + "; ".join(_format_key(k) for k in nearest)
-            )
-        try:
-            return _mean(hit[response])
-        except OverflowError:
-            where = f"response {response!r} at {_format_key(key)}"
-            raise SingularityError(f"{where}: the replicates' sum is beyond the double range") from None
-
-    def _nearest(self, key: tuple[float, ...]) -> list[tuple[float, ...]]:
-        def distance(recorded: tuple[float, ...]) -> int:
-            return sum(1 for a, b in zip(recorded, key) if a != b)
-
-        return sorted(self._index, key=distance)[:3]
+        return _mean(self._index[_settings_key(settings, self.factor_names)][response])
 
 
 @dataclass(frozen=True)

@@ -354,7 +354,8 @@ class TestPredict:
             predict_optimum(clip_report, "cycle_time", levels=(0, 0))
 
     def test_unknown_response(self, clip_report):
-        with pytest.raises(UnknownResponseError, match="warpage"):
+        message = r"^no response named 'warpage'; available: cycle_time, shrinkage$"
+        with pytest.raises(UnknownResponseError, match=message):
             predict_optimum(clip_report, "warpage")
 
     def test_repeated_response_name_is_refused(self, clip_design, clip_results):

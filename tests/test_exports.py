@@ -16,6 +16,7 @@ import yaml
 
 import taguchikit
 import taguchikit.arrays
+import taguchikit.errors
 import taguchikit.evaluators
 from taguchikit.cli import main
 
@@ -44,6 +45,8 @@ def test_the_table_replay_is_reached_only_by_its_module_path():
         taguchikit.TableEvaluator
     assert "TableEvaluator" not in taguchikit.evaluators.__all__
     assert taguchikit.evaluators.TableEvaluator.__module__ == "taguchikit.evaluators"
+    # The replay has no error class of its own: a miss is a plain KeyError.
+    assert not hasattr(taguchikit.errors, "CombinationNotCoveredError")
 
 
 def test_the_orthogonality_check_has_no_report_class():
@@ -238,7 +241,7 @@ def test_each_package_name_the_benchmark_reads_is_still_there():
 
 def test_the_only_reach_into_another_modules_private_names_is_evaluators_into_analysis():
     # A new reach fails here. Deleting TableEvaluator and folding the surrogate into
-    # analysis, as ROADMAP plans for the benchmark's next change, removes all four.
+    # analysis, as ROADMAP plans for the benchmark's next change, removes all three.
     reached = {
         (path.stem, module, name)
         for path in (REPO / "src" / "taguchikit").glob("*.py")
@@ -247,5 +250,5 @@ def test_the_only_reach_into_another_modules_private_names_is_evaluators_into_an
     }
     assert reached == {
         ("evaluators", "taguchikit.analysis", name)
-        for name in ("_additive_sum", "_mean", "_response_index", "_row_replicates")
+        for name in ("_additive_sum", "_mean", "_row_replicates")
     }
