@@ -50,6 +50,4 @@ def __getattr__(name: str):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

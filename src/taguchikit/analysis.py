@@ -25,21 +25,6 @@ from taguchikit.errors import (
     UnknownResponseError,
 )
 
-__all__ = [
-    "Objective",
-    "ResponseSpec",
-    "ResponseAnalysis",
-    "AnalysisReport",
-    "Prediction",
-    "snr",
-    "rank_factors",
-    "optimal_levels",
-    "analyze",
-    "predict_optimum",
-    "error_percent",
-    "validate",
-]
-
 
 class Objective(enum.Enum):
     """Direction in which a response is optimized."""

@@ -17,15 +17,6 @@ from math import prod
 
 from taguchikit.errors import ArrayStructureError, CapacityError, UnknownArrayError
 
-__all__ = [
-    "OrthogonalArray",
-    "Violation",
-    "CATALOG_NAMES",
-    "get_array",
-    "select_array",
-    "verify_orthogonality",
-]
-
 
 @dataclass(frozen=True)
 class OrthogonalArray:

@@ -32,8 +32,6 @@ from taguchikit.design import Design, Factor, bind, export_run_sheet, read_resul
 from taguchikit.design import is_number, number_text, repeated_names
 from taguchikit.errors import ConfigError, TaguchiKitError
 
-__all__ = ["ProjectConfig", "load_config", "build_design", "main", "run"]
-
 
 @dataclass(frozen=True)
 class ProjectConfig:
@@ -45,7 +43,7 @@ class ProjectConfig:
     precision: dict[str, int] = field(default_factory=dict)
 
 
-def _read_input(path: str, what: str) -> str:
+def _read_input(path: str | os.PathLike[str], what: str) -> str:
     """Text of the file ``open(path)`` reads; a UTF-8 byte-order mark (as in Excel exports) is dropped."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -57,7 +55,6 @@ def _read_input(path: str, what: str) -> str:
 def load_config(path: str | os.PathLike[str]) -> ProjectConfig:
     import yaml  # here, so ``validate``, which reads no config, never loads PyYAML
 
-    path = os.fspath(path)
     text = _read_input(path, "config")
     try:
         data = yaml.safe_load(text)
@@ -68,7 +65,7 @@ def load_config(path: str | os.PathLike[str]) -> ProjectConfig:
     return _parse_config(data, path)
 
 
-def _parse_config(data: dict, where: str) -> ProjectConfig:
+def _parse_config(data: dict, where: str | os.PathLike[str]) -> ProjectConfig:
     def fail(field_path: str, message: str) -> ConfigError:
         return ConfigError(f"{where}: {field_path}: {message}")
 
@@ -374,7 +371,7 @@ def run() -> None:
     The cyclic collector stays off, and the objects are frozen before exit so
     that interpreter finalization does not walk them.
     """
-    gc.disable()
+    gc.disable()  # probe: speed clip_cli -11.8 % with gc.freeze, in 10 of 10 pairs (BENCH_14.json)
     code = main()
-    gc.freeze()
+    gc.freeze()  # probe: speed bulk_csv about -4 %, faster in 19 of 30 pairs
     raise SystemExit(code)

@@ -14,11 +14,6 @@ from itertools import chain, islice, repeat
 from taguchikit.arrays import OrthogonalArray
 from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
 
-__all__ = [
-    "Factor", "Run", "Design", "RunResult",
-    "bind", "export_run_sheet", "number_label", "read_results_csv",
-]
-
 
 def number_label(x: float) -> str:
     """Shortest exact decimal label for a float.

@@ -20,8 +20,6 @@ from taguchikit.arrays import verify_orthogonality
 from taguchikit.design import Design, Factor, RunResult
 from taguchikit.errors import InvalidLevelError, UnbalancedDesignError
 
-__all__ = ["SurrogateEvaluator", "fit_surrogate"]
-
 
 def _settings_key(
     settings: Mapping[str, float], factor_names: Sequence[str]

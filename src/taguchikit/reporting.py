@@ -16,19 +16,6 @@ from taguchikit.analysis import AnalysisReport, Prediction, ResponseAnalysis
 from taguchikit.design import is_number, number_label
 from taguchikit.errors import ConfigError
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "REPORT_PRECISION",
-    "report_to_json_dict",
-    "report_to_json",
-    "report_to_text",
-    "main_effects_csv",
-    "prediction_to_json",
-    "prediction_from_json_dict",
-    "prediction_to_text",
-    "fixed",
-]
-
 SCHEMA_VERSION = 1
 
 # Display decimals per quantity; callers may override via the precision arg.

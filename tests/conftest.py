@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from taguchikit.analysis import analyze
-from taguchikit.cli import build_design, load_config
-from taguchikit.design import read_results_csv
-
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
+
+# The fixtures import the package in their bodies: a package that cannot be
+# imported then fails each test module's collection (pytest exit 1), where a
+# failing import here would stop pytest before its first test (exit 4).
 
 
 @pytest.fixture(scope="session")
@@ -22,22 +22,30 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def clip_config():
+    from taguchikit.cli import load_config
+
     return load_config(FIXTURES / "clip_moulding.yaml")
 
 
 @pytest.fixture(scope="session")
 def clip_design(clip_config):
+    from taguchikit.cli import build_design
+
     design, _ = build_design(clip_config)
     return design
 
 
 @pytest.fixture(scope="session")
 def clip_results():
+    from taguchikit.design import read_results_csv
+
     return read_results_csv((FIXTURES / "clip_moulding_results.csv").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")
 def clip_report(clip_design, clip_results, clip_config):
+    from taguchikit.analysis import analyze
+
     return analyze(clip_design, clip_results, clip_config.responses)
 
 

@@ -218,3 +218,7 @@ class TestStructure:
     def test_constructor_rejects_single_level_column(self):
         with pytest.raises(ArrayStructureError):
             OrthogonalArray("bad", (1, 2), ((0, 0), (0, 1)))
+
+    def test_levels_given_as_a_list_are_held_as_a_tuple(self):
+        listed, tupled = (OrthogonalArray("pair", levels, ((0,), (1,))) for levels in ([2], (2,)))
+        assert listed == tupled and hash(listed) == hash(tupled)

@@ -20,11 +20,11 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from taguchikit import Factor, Objective, ResponseSpec, RunResult, analyze, bind, get_array
-from taguchikit import predict_optimum, validate
+from taguchikit import Factor, Objective, OrthogonalArray, ResponseSpec, RunResult, analyze, bind
+from taguchikit import get_array, predict_optimum, validate
 from taguchikit.cli import _parse_config, load_config, main
 from taguchikit.errors import ConfigError
-from taguchikit.reporting import prediction_to_json, report_to_json
+from taguchikit.reporting import prediction_to_json, report_to_json, report_to_text
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -1008,13 +1008,25 @@ class TestTotality:
         lines = completed.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), completed.stderr
 
-    def test_full_stdout_is_one_error_line(self, fixture_paths, spawn):
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_full_stdout_is_one_error_line(self, fixture_paths, spawn, to_file):
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full on this system")
         argv = [sys.executable, "-m", "taguchikit", "design", fixture_paths[0]]
         with open("/dev/full", "w") as full:
-            completed = spawn(argv, stdout=full)
+            completed = spawn(argv + ["--out", "/dev/full"]) if to_file else spawn(argv, stdout=full)
         single_os_error(completed, errno.ENOSPC)
+        assert completed.stderr.endswith(": '/dev/full'\n" if to_file else ": '<stdout>'\n")
+
+    def test_a_failed_stdout_write_in_main_leaves_no_descriptor_open(self, fixture_paths, capsys):
+        if not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")):
+            pytest.skip("no /proc/self/fd or no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            before = len(os.listdir("/proc/self/fd"))
+            with contextlib.redirect_stdout(full):
+                assert main(["design", fixture_paths[0]]) == 2
+            assert len(os.listdir("/proc/self/fd")) == before
+        assert single_error(capsys).endswith(": '<stdout>'")
 
     def test_broken_pipe_stdout_is_one_error_line(self, fixture_paths, spawn):
         argv = [sys.executable, "-m", "taguchikit", "design", fixture_paths[0]]
@@ -1422,6 +1434,41 @@ class TestLayoutInvariance:
         assert out.getvalue() == expected
 
 
+# Each frozen text output in fixtures/ and the command, after its config and results, that prints it.
+TEXT_ORACLES = {
+    "expected_report.txt": ["analyze", "--format", "text"],
+    "expected_prediction.txt": ["predict", "--response", "cycle_time", "--format", "text"],
+}
+
+
+@pytest.mark.parametrize("route", ["main", "module"])
+@pytest.mark.parametrize("oracle", sorted(TEXT_ORACLES))
+def test_text_output_is_frozen(fixture_paths, fixtures_dir, capsys, spawn, oracle, route):
+    command, *options = TEXT_ORACLES[oracle]
+    argv = [command, *fixture_paths, *options]
+    if route == "main":
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+    else:
+        completed = spawn([sys.executable, "-m", "taguchikit", *argv], text=False)
+        assert completed.returncode == 0, completed.stderr
+        out = completed.stdout
+    assert out == (fixtures_dir / oracle).read_bytes()
+
+
+def test_a_factor_with_fewer_levels_leaves_the_level_columns_it_lacks_blank():
+    """Only the library builds a mixed-level array; each value stays under its own heading."""
+    array = OrthogonalArray("2x3", (2, 3), [(p, q) for p in range(2) for q in range(3)])
+    design = bind(array, [Factor("p", "", (1, 2)), Factor("q", "mm", (10, 20, 30))])
+    measured = [RunResult(i, {"y": (y,)}) for i, y in enumerate((2, 3, 4, 6, 7, 8), 1)]
+    text = report_to_text(analyze(design, measured, [ResponseSpec("y", "", Objective.SMALLER_IS_BETTER)]))
+    assert text.split("\n\n")[-1] == (
+        "  factor      L1      L2      L3   delta  rank  best\n"
+        "  p       3.0000  7.0000          4.0000     1     1\n"
+        "  q(mm)   4.0000  5.0000  6.0000  2.0000     2    10\n"
+    )
+
+
 def test_a_study_built_in_the_library_writes_the_bytes_the_cli_writes(tmp_path, capsys):
     """An integer target and confirmation are held as floats, however they arrive."""
     config, results, prediction = (tmp_path / name for name in ("l4.yaml", "l4.csv", "p.json"))
@@ -1441,7 +1488,9 @@ def test_a_study_built_in_the_library_writes_the_bytes_the_cli_writes(tmp_path, 
     measured = [RunResult(i, {"thickness": (t,), "strength": (s,)}) for i, (t, s) in enumerate(rows, 1)]
     report = analyze(bind(get_array("L4"), factors), measured, specs)
     confirmed = validate(predict_optimum(report, "thickness"), 9)
-    assert capsys.readouterr().out == report_to_json(report) + prediction_to_json(confirmed)
+    out = capsys.readouterr().out
+    assert out == report_to_json(report) + prediction_to_json(confirmed)
+    assert '\n      "target": 10.0\n' in out
 
 
 def test_case_study_script_runs(tmp_path, spawn):

@@ -37,6 +37,12 @@ class TestBind:
             "holding_time": 3.5,
         }
 
+    def test_factors_are_held_as_a_tuple_apart_from_the_callers_list(self):
+        factors = [Factor(f"f{j}", "", (0, 1)) for j in range(3)]
+        design = bind(get_array("L4"), factors)
+        factors.append(Factor("late", "", (0, 1)))
+        assert type(design.factors) is tuple and design.factors == tuple(factors[:3])
+
     def test_identity_binding_on_l4(self):
         factors = tuple(Factor(f"f{j}", "", (0, 1)) for j in range(3))
         design = bind(get_array("L4"), factors)

@@ -43,7 +43,6 @@ def test_the_table_replay_is_reached_only_by_its_module_path():
     # Only the benchmark calls TableEvaluator, through taguchikit.evaluators.
     with pytest.raises(AttributeError):
         taguchikit.TableEvaluator
-    assert "TableEvaluator" not in taguchikit.evaluators.__all__
     assert taguchikit.evaluators.TableEvaluator.__module__ == "taguchikit.evaluators"
     # The replay has no error class of its own: a miss is a plain KeyError.
     assert not hasattr(taguchikit.errors, "CombinationNotCoveredError")
@@ -53,7 +52,7 @@ def test_the_orthogonality_check_has_no_report_class():
     # verify_orthogonality returns its violations as a tuple; no wrapper is public.
     with pytest.raises(AttributeError):
         taguchikit.VerificationReport
-    assert "VerificationReport" not in taguchikit.arrays.__all__
+    assert not hasattr(taguchikit.arrays, "VerificationReport")
 
 
 def _run_python(spawn, code: str, *options: str) -> str:
@@ -71,6 +70,14 @@ def test_console_script_resolves_to_the_cli_entry_point():
         scripts = tomllib.load(handle)["project"]["scripts"]
     assert scripts == {"taguchikit": "taguchikit.cli:run"}
     assert callable(pkgutil.resolve_name(scripts["taguchikit"]))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_package_version_is_the_project_version():
+    import tomllib
+
+    with open(REPO / "pyproject.toml", "rb") as handle:
+        assert taguchikit.__version__ == tomllib.load(handle)["project"]["version"]
 
 
 def test_cli_import_does_not_load_the_evaluators(spawn):
