@@ -1,16 +1,16 @@
 """Mutation probe: does the tier-1 suite fail without each statement in ``src/``?
 
-Probe A sets the condition of each ``if`` whose body is one ``raise`` to ``False``;
-probe B drops each member of each ``except`` tuple in turn; probe C replaces each
+Probe B drops each member of each ``except`` tuple in turn; probe C replaces each
 statement with ``pass`` (an ``elif`` with ``else: pass``), except ``def``, ``class``,
-``import``, ``return``, ``raise``, ``pass`` and docstrings. Each mutant runs
-``pytest -x -q`` in a copy of the tree in a temporary directory (the checkout is
-never written) and prints ``killed`` (tests failed), ``survived`` (they passed) or
-``error`` (pytest exited otherwise) with its probe's letter. A statement whose first
-line carries ``# probe: speed <measurement>`` changes only time or memory: it is not
-run, and prints ``skipped``. One tally line ends the run. An unmutated copy runs
-first and must pass. Stdlib only; the probe-guards workflow runs it weekly and fails
-on a ``survived`` or ``error`` line:  python scripts/probe_guards.py [arrays.py ...]
+``import``, ``return``, ``raise``, ``pass`` and docstrings, so an ``if …: raise`` guard
+is probed by skipping it whole. Each mutant runs ``pytest -x -q`` in a copy of the
+tree in a temporary directory (the checkout is never written) and prints ``killed``
+(tests failed), ``survived`` (they passed) or ``error`` (pytest exited otherwise)
+with its probe's letter. A statement whose first line carries ``# probe: speed
+<measurement>`` changes only time or memory: it is not run, and prints ``skipped``.
+One tally line ends the run. An unmutated copy runs first and must pass. Stdlib
+only; the probe-guards workflow runs it weekly and fails on a ``survived`` or
+``error`` line:  python scripts/probe_guards.py [arrays.py ...]
 """
 
 import ast
@@ -44,9 +44,7 @@ def mutants(source: str):
 
     found, lines = [], source.splitlines()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.If) and len(node.body) == 1 and isinstance(node.body[0], ast.Raise):
-            found.append((node.lineno, "A", "if-raise -> False", replace(node.test, "False")))
-        elif isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
             for i, member in enumerate(node.type.elts):
                 rest = ast.unparse(ast.Tuple(node.type.elts[:i] + node.type.elts[i + 1 :], ast.Load()))
                 found.append((node.lineno, "B", f"except drops {ast.unparse(member)}", replace(node.type, rest)))

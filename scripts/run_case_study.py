@@ -41,7 +41,7 @@ def main() -> None:
 
     report = analyze(design, results, config.responses)
     print("=== Screening ===")
-    print(report_to_text(report, config.precision))
+    print(report_to_text(report))
 
     print("=== Optimum predictions vs recorded confirmation runs ===")
     for response in ("cycle_time", "shrinkage"):

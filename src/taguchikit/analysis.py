@@ -99,7 +99,7 @@ def snr(
         msd = math.inf
     if not 0.0 < msd < math.inf:
         raise SingularityError(f"{objective.value} S/N is out of the floating-point range")
-    return -10.0 * math.log10(msd)
+    return 0.0 - 10.0 * math.log10(msd)  # 0.0 - x, so an msd of exactly 1 gives 0.0, not -0.0
 
 
 def _row_replicates(design: Design, results: Iterable[RunResult]) -> list[dict[str, list[float]]]:

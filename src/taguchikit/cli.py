@@ -16,7 +16,7 @@ import gc
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from taguchikit import reporting
 from taguchikit.analysis import (
@@ -40,7 +40,6 @@ class ProjectConfig:
     array: str
     factors: tuple[Factor, ...]
     responses: tuple[ResponseSpec, ...]
-    precision: dict[str, int] = field(default_factory=dict)
 
 
 def _read_input(path: str | os.PathLike[str], what: str) -> str:
@@ -74,7 +73,7 @@ def _parse_config(data: dict, where: str | os.PathLike[str]) -> ProjectConfig:
             if key not in keys:
                 raise fail(f"{prefix}{key}", "unknown key; expected one of: " + ", ".join(keys))
 
-    known_keys(data, ("array", "factors", "responses", "precision"))
+    known_keys(data, ("array", "factors", "responses"))
     array = data.get("array")
     if not isinstance(array, str) or not array:
         raise fail("array", "expected an array name or 'auto'")
@@ -129,20 +128,7 @@ def _parse_config(data: dict, where: str | os.PathLike[str]) -> ProjectConfig:
     if dupes:
         raise fail("responses", f"duplicate response name(s): {dupes}")
 
-    precision = data.get("precision", {})
-    if not isinstance(precision, dict):
-        raise fail("precision", "expected a mapping of quantity name to decimals")
-    known_keys(precision, tuple(reporting.REPORT_PRECISION), "precision.")
-    for key, decimals in precision.items():
-        if type(decimals) is not int or not 0 <= decimals <= 15:
-            raise fail(f"precision.{key}", f"expected 0 to 15 decimals, got {_named(decimals)}")
-
-    return ProjectConfig(
-        array=array,
-        factors=tuple(factors),
-        responses=tuple(responses),
-        precision=dict(precision),
-    )
+    return ProjectConfig(array=array, factors=tuple(factors), responses=tuple(responses))
 
 
 def _named(value: object) -> str:
@@ -236,13 +222,13 @@ def _write_stdout(text: str) -> None:
         raise
 
 
-def _analyze_from_files(args: argparse.Namespace) -> tuple[ProjectConfig, AnalysisReport]:
+def _analyze_from_files(args: argparse.Namespace) -> AnalysisReport:
     config = load_config(args.config)
     design, _ = build_design(config, args.array)
     names = [r.name for r in config.responses]
     # The text is passed, not kept, so it is freed before analyze builds its lists.
     results = read_results_csv(_read_input(args.results, "results"), expected_responses=names)
-    return config, analyze(design, results, config.responses)
+    return analyze(design, results, config.responses)
 
 
 def _cmd_design(args: argparse.Namespace) -> list[tuple[str | None, str]]:
@@ -253,11 +239,11 @@ def _cmd_design(args: argparse.Namespace) -> list[tuple[str | None, str]]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> list[tuple[str | None, str]]:
-    config, report = _analyze_from_files(args)
+    report = _analyze_from_files(args)
     outputs = [] if args.plot_data is None else [(args.plot_data, reporting.main_effects_csv(report))]
     if args.format == "json":
         return outputs + [(args.out, reporting.report_to_json(report))]
-    return outputs + [(args.out, reporting.report_to_text(report, config.precision))]
+    return outputs + [(args.out, reporting.report_to_text(report))]
 
 
 def _number(option: str, text: str) -> float:
@@ -269,7 +255,7 @@ def _number(option: str, text: str) -> float:
 
 
 def _cmd_predict(args: argparse.Namespace) -> list[tuple[str | None, str]]:
-    config, report = _analyze_from_files(args)
+    report = _analyze_from_files(args)
     levels = None
     if args.levels is not None:
         factors, parts = report.design.factors, args.levels.split(",")
@@ -278,7 +264,7 @@ def _cmd_predict(args: argparse.Namespace) -> list[tuple[str | None, str]]:
         levels = [f.level_index(_number("--levels", p.strip())) for f, p in zip(factors, parts)]
     prediction = predict_optimum(report, args.response, levels)
     if args.format == "text":
-        return [(args.out, reporting.prediction_to_text(prediction, config.precision))]
+        return [(args.out, reporting.prediction_to_text(prediction))]
     return [(args.out, reporting.prediction_to_json(prediction))]
 
 

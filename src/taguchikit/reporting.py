@@ -3,7 +3,7 @@
 JSON carries full-precision floats for machine use and is byte-stable for
 identical inputs. The text renderer mirrors the customary presentation of
 Taguchi worksheets: S/N columns are chopped (not rounded) at two decimals,
-predictions shown at four, error percentages at two.
+means and predictions shown at four, error percentages at two.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from taguchikit.errors import ConfigError
 
 SCHEMA_VERSION = 1
 
-# Display decimals per quantity; callers may override via the precision arg.
-REPORT_PRECISION = {"snr": 2, "mean": 4, "prediction": 4, "error_percent": 2}
+# Printed decimals per quantity, as the paper's screening tables print them.
+DECIMALS = {"snr": 2, "mean": 4, "prediction": 4, "error_percent": 2}
 
 
 def fixed(x: float, decimals: int, *, truncate: bool = False) -> str:
@@ -29,7 +29,7 @@ def fixed(x: float, decimals: int, *, truncate: bool = False) -> str:
     # Imported here, so a command that writes only JSON never loads decimal.
     from decimal import ROUND_DOWN, ROUND_HALF_UP, Context, Decimal
 
-    # Enough digits for any double (at most 309 integer digits) at up to 15
+    # Enough digits for any double (at most 309 integer digits) at the printed
     # decimals; the default 28-digit context fails on values from 1e24 up.
     context = Context(prec=330)
     mode = ROUND_DOWN if truncate else ROUND_HALF_UP
@@ -98,8 +98,7 @@ def _json_document(body: dict) -> str:
     return json.dumps(body, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
-def report_to_text(report: AnalysisReport, precision: dict[str, int] | None = None) -> str:
-    prec = {**REPORT_PRECISION, **(precision or {})}
+def report_to_text(report: AnalysisReport) -> str:
     design = report.design
     out = io.StringIO()
     out.write(
@@ -113,13 +112,13 @@ def report_to_text(report: AnalysisReport, precision: dict[str, int] | None = No
         if spec.target is not None:
             objective += f", target {number_label(spec.target)}"
         out.write(f"\nResponse: {title} ({objective})\n")
-        out.write(f"  grand mean: {fixed(analysis.grand_mean, prec['mean'])}\n\n")
+        out.write(f"  grand mean: {fixed(analysis.grand_mean, DECIMALS['mean'])}\n\n")
 
         rows = [
             (
                 str(run.number),
-                fixed(analysis.run_means[i], prec["mean"]),
-                fixed(analysis.snr_per_run[i], prec["snr"], truncate=True),
+                fixed(analysis.run_means[i], DECIMALS["mean"]),
+                fixed(analysis.snr_per_run[i], DECIMALS["snr"], truncate=True),
             )
             for i, run in enumerate(design.runs)
         ]
@@ -130,7 +129,7 @@ def report_to_text(report: AnalysisReport, precision: dict[str, int] | None = No
         header = ("factor", *[f"L{l + 1}" for l in range(level_count)], "delta", "rank", "best")
         rows = []
         for f, factor in enumerate(design.factors):
-            cells = [fixed(m, prec["mean"]) for m in analysis.level_means[f]]
+            cells = [fixed(m, DECIMALS["mean"]) for m in analysis.level_means[f]]
             cells += [""] * (level_count - len(cells))
             best = number_label(factor.levels[analysis.optimal_levels[f]])
             if f in analysis.ties:
@@ -139,7 +138,7 @@ def report_to_text(report: AnalysisReport, precision: dict[str, int] | None = No
                 (
                     factor.label(),
                     *cells,
-                    fixed(analysis.deltas[f], prec["mean"]),
+                    fixed(analysis.deltas[f], DECIMALS["mean"]),
                     str(analysis.ranks[f]),
                     best,
                 )
@@ -232,15 +231,14 @@ def prediction_from_json_dict(data: dict) -> Prediction:
     return prediction
 
 
-def prediction_to_text(prediction: Prediction, precision: dict[str, int] | None = None) -> str:
-    prec = {**REPORT_PRECISION, **(precision or {})}
+def prediction_to_text(prediction: Prediction) -> str:
     out = io.StringIO()
     unit = f" {prediction.unit}" if prediction.unit else ""
     out.write(f"Prediction for {prediction.response}:\n")
     for name, value in prediction.settings.items():
         out.write(f"  {name} = {number_label(value)}\n")
-    out.write(f"  predicted: {fixed(prediction.predicted, prec['prediction'])}{unit}\n")
+    out.write(f"  predicted: {fixed(prediction.predicted, DECIMALS['prediction'])}{unit}\n")
     if prediction.confirmation is not None and prediction.error_percent is not None:
         out.write(f"  confirmed: {number_label(prediction.confirmation)}{unit}\n")
-        out.write(f"  error: {fixed(prediction.error_percent, prec['error_percent'])} %\n")
+        out.write(f"  error: {fixed(prediction.error_percent, DECIMALS['error_percent'])} %\n")
     return out.getvalue()

@@ -44,6 +44,7 @@ from taguchikit.reporting import (
     prediction_to_json,
     prediction_to_text,
     report_to_json,
+    report_to_text,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -87,8 +88,21 @@ class TestSnr:
     def test_recorded_run7_cycle_time(self):
         assert snr([22.925]) == pytest.approx(-27.2, abs=0.05)
 
-    def test_unit_value_gives_zero(self):
-        assert snr([1.0]) == 0.0
+    @pytest.mark.parametrize(
+        "objective, target",
+        [(Objective.SMALLER_IS_BETTER, None), (Objective.LARGER_IS_BETTER, None),
+         (Objective.NOMINAL_IS_BEST, 0.0)],
+    )
+    def test_unit_value_gives_positive_zero(self, objective, target):
+        value = snr([1.0], objective, target=target)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_unit_mean_square_prints_as_zero_in_both_reports(self):
+        design = bind(OrthogonalArray("pair", (2,), ((0,), (1,))), [Factor("p", "", (1, 2))])
+        results = [RunResult(1, {"y": (1,)}), RunResult(2, {"y": (2,)})]
+        report = analyze(design, results, [ResponseSpec("y", "", Objective.SMALLER_IS_BETTER)])
+        assert "  1    1.0000   0.00\n" in report_to_text(report)
+        assert '"snr": 0.0\n' in report_to_json(report)
 
     def test_multiple_replicates_use_mean_square(self):
         assert snr([2.0, 4.0]) == pytest.approx(-10 * math.log10((4 + 16) / 2), rel=1e-12)

@@ -715,50 +715,18 @@ class TestConfigParsing:
             load_config(bad)
         assert str(caught.value) == f"{bad}: responses[0]: response 'cycle_time': {message}"
 
-    def test_precision_override_applies_to_text_report(self, fixtures_dir, tmp_path, capsys):
-        config_text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")
-        config = tmp_path / "precise.yaml"
-        config.write_text(config_text + "precision:\n  mean: 2\n", encoding="utf-8")
-        results = str(fixtures_dir / "clip_moulding_results.csv")
-        assert main(["analyze", str(config), results]) == 0
-        assert "grand mean: 35.32" in capsys.readouterr().out
-
-    def test_unknown_precision_key_rejected(self, tmp_path):
-        bad = tmp_path / "bad.yaml"
-        bad.write_text(
-            "array: L4\nfactors:\n"
-            "  - {name: a, unit: '', levels: [1, 2]}\n"
-            "  - {name: b, unit: '', levels: [1, 2]}\n"
-            "  - {name: c, unit: '', levels: [1, 2]}\n"
-            "responses:\n  - {name: y, unit: '', objective: smaller-the-better}\n"
-            "precision:\n  wavelength: 3\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(ConfigError) as caught:
-            load_config(bad)
-        assert str(caught.value) == (
-            f"{bad}: precision.wavelength: unknown key; "
-            "expected one of: snr, mean, prediction, error_percent"
-        )
-
-    @pytest.mark.parametrize("decimals", [-2, 16, 100000, "'2'"])
-    def test_precision_out_of_range_rejected(self, fixtures_dir, tmp_path, capsys, decimals):
-        config_text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")
-        config = tmp_path / "precise.yaml"
-        config.write_text(config_text + f"precision:\n  mean: {decimals}\n", encoding="utf-8")
-        results = str(fixtures_dir / "clip_moulding_results.csv")
-        assert main(["analyze", str(config), results]) == 2
-        assert single_error(capsys).endswith(
-            f"precision.mean: expected 0 to 15 decimals, got {decimals}"
-        )
-
     @pytest.mark.parametrize(
         "old, new, message",
         [
             (
                 "responses:",
                 "precison:\n  mean: 2\nresponses:",
-                "precison: unknown key; expected one of: array, factors, responses, precision",
+                "precison: unknown key; expected one of: array, factors, responses",
+            ),
+            (
+                "responses:",
+                "precision:\n  mean: 2\nresponses:",
+                "precision: unknown key; expected one of: array, factors, responses",
             ),
             (
                 "    unit: MPa\n",
@@ -792,8 +760,8 @@ class TestConfigParsing:
             ),
         ],
         ids=[
-            "top-level", "factor", "response", "boolean-target", "target-beyond-double",
-            "boolean-level", "quoted-level",
+            "top-level", "precision", "factor", "response", "boolean-target",
+            "target-beyond-double", "boolean-level", "quoted-level",
         ],
     )
     def test_unknown_keys_and_boolean_target_rejected(
@@ -812,10 +780,8 @@ class TestConfigParsing:
             ("- array: L9\n", "top level must be a mapping"),
             (AUTO_CONFIG.replace("  - {name: y", "  - y\n  - {name: y"),
              "responses[0]: expected a mapping with name/unit/objective/target"),
-            (AUTO_CONFIG + "precision: [2]\n",
-             "precision: expected a mapping of quantity name to decimals"),
         ],
-        ids=["top-level", "entry", "precision"],
+        ids=["top-level", "entry"],
     )
     def test_parts_that_must_be_mappings(self, tmp_path, capsys, text, message):
         config = tmp_path / "config.yaml"
@@ -1286,15 +1252,10 @@ def _aliased_list(depth: int) -> str:
 class TestAliasedConfigValues:
     # Ten to the depth entries: a repr of the value in the message would be ~5 * 10**depth bytes.
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
-    @pytest.mark.parametrize("field", ["objective", "precision.snr"])
-    def test_error_names_a_list_by_its_type(self, fixtures_dir, tmp_path, capsys, field, depth):
+    def test_error_names_a_list_by_its_type(self, fixtures_dir, tmp_path, capsys, depth):
         text = (fixtures_dir / "clip_moulding.yaml").read_text(encoding="utf-8")
-        if field == "objective":
-            text = text.replace("objective: smaller-the-better", f"objective: {_aliased_list(depth)}", 1)
-            expected = "responses[0].objective: unknown objective a list; expected one of: "
-        else:
-            text += f"precision:\n  snr: {_aliased_list(depth)}\n"
-            expected = "precision.snr: expected 0 to 15 decimals, got a list"
+        text = text.replace("objective: smaller-the-better", f"objective: {_aliased_list(depth)}", 1)
+        expected = "responses[0].objective: unknown objective a list; expected one of: "
         config = tmp_path / "aliased.yaml"
         config.write_text(text, encoding="utf-8")
         assert main(["design", str(config)]) == 2
@@ -1434,18 +1395,27 @@ class TestLayoutInvariance:
         assert out.getvalue() == expected
 
 
-# Each frozen text output in fixtures/ and the command, after its config and results, that prints it.
-TEXT_ORACLES = {
-    "expected_report.txt": ["analyze", "--format", "text"],
-    "expected_prediction.txt": ["predict", "--response", "cycle_time", "--format", "text"],
+# Each frozen output in fixtures/ and the command that prints it, or that writes
+# it to the file {out} where the command names one.
+CONFIG, RESULTS = "{fixtures}/clip_moulding.yaml", "{fixtures}/clip_moulding_results.csv"
+PREDICTION = "{fixtures}/expected_prediction.json"
+ORACLES = {
+    "expected_report.txt": ["analyze", CONFIG, RESULTS, "--format", "text"],
+    "expected_prediction.txt": ["predict", CONFIG, RESULTS, "--response", "cycle_time", "--format", "text"],
+    "expected_prediction.json": ["predict", CONFIG, RESULTS, "--response", "cycle_time"],
+    "expected_validation.txt": ["validate", PREDICTION, "--confirmed", "22.92"],
+    "expected_validation.json": ["validate", PREDICTION, "--confirmed", "22.92", "--format", "json"],
+    "expected_effects.csv": ["analyze", CONFIG, RESULTS, "--plot-data", "{out}"],
+    "expected_run_sheet.csv": ["design", CONFIG],
+    "expected_run_sheet_auto.csv": ["design", CONFIG, "--array", "auto"],
 }
 
 
 @pytest.mark.parametrize("route", ["main", "module"])
-@pytest.mark.parametrize("oracle", sorted(TEXT_ORACLES))
-def test_text_output_is_frozen(fixture_paths, fixtures_dir, capsys, spawn, oracle, route):
-    command, *options = TEXT_ORACLES[oracle]
-    argv = [command, *fixture_paths, *options]
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+def test_text_output_is_frozen(fixtures_dir, tmp_path, capsys, spawn, oracle, route):
+    written = tmp_path / "out"
+    argv = [arg.format(fixtures=fixtures_dir, out=written) for arg in ORACLES[oracle]]
     if route == "main":
         assert main(argv) == 0
         out = capsys.readouterr().out.encode("utf-8")
@@ -1453,6 +1423,8 @@ def test_text_output_is_frozen(fixture_paths, fixtures_dir, capsys, spawn, oracl
         completed = spawn([sys.executable, "-m", "taguchikit", *argv], text=False)
         assert completed.returncode == 0, completed.stderr
         out = completed.stdout
+    if "{out}" in ORACLES[oracle]:
+        out = written.read_bytes()
     assert out == (fixtures_dir / oracle).read_bytes()
 
 
