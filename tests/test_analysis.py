@@ -902,6 +902,9 @@ class TestFloatingPointRange:
     def test_snr_out_of_range_is_singular(self):
         with pytest.raises(SingularityError, match="out of the floating-point range"):
             snr([1e200])
+        # Each square is finite; their sum overflows inside fsum.
+        with pytest.raises(SingularityError, match="out of the floating-point range"):
+            snr([1.2e154, 1.2e154])
         with pytest.raises(SingularityError, match="out of the floating-point range"):
             snr([1e200], Objective.LARGER_IS_BETTER)
         with pytest.raises(SingularityError, match="out of the floating-point range"):
