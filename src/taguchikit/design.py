@@ -9,7 +9,7 @@ import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 from taguchikit.arrays import OrthogonalArray
 from taguchikit.errors import BindError, InvalidLevelError, ResultsFormatError
@@ -235,7 +235,10 @@ def read_results_csv(
         except ValueError:
             numbers, values = _checked_rows(batch, done, header)
         for number, row in zip(numbers, zip(*[iter(values)] * width)):
-            flat.setdefault(number, []).extend(row)
+            try:
+                flat[number].extend(row)
+            except KeyError:  # the run's first row
+                flat[number] = list(row)
         done += len(batch)
     results = []
     for number in sorted(flat):
@@ -270,14 +273,28 @@ def _plain_rows(lines: list[str], width: int) -> tuple[list[int], list[float]]:
     ASCII without ``_`` (see ``number_text``). A quote, a comment or a blank line
     fails these. Raises ``ValueError`` at any other line, which leaves skipping
     and diagnosis to ``_checked_rows``.
+
+    The batch is joined with ``",\\n"`` and split at commas once. A line break
+    then begins the first cell of each line after the first, and no other
+    cell, since ``str.splitlines`` leaves none inside a line. So every line is
+    ``width`` cells wide exactly when the batch has ``width`` times as many
+    cells as lines and the run cells, every ``width``-th from the first, hold
+    all ``len(lines) - 1`` line breaks. ``int`` strips a run cell's line break,
+    and a value cell then holds none.
     """
-    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
-        raise ValueError("a line of another width")
-    if max(map(len, lines)) > csv.field_size_limit():
+    text = ",\n".join(lines)
+    # A batch within the limit cannot hold a longer line.
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
         raise ValueError("a line that may hold a cell beyond the csv field limit")
     # The joined batch is in ``number_text``'s form exactly when each of its cells is.
-    cells = number_text(",".join(lines)).split(",")
-    numbers = list(map(int, cells[::width]))
+    cells = number_text(text).split(",")
+    firsts = cells[::width]
+    if len(cells) != width * len(lines) or "".join(firsts).count("\n") != len(lines) - 1:
+        raise ValueError("a line of another width")
+    # A batch holds few distinct run texts; each is converted once.
+    number_of = {cell: int(cell) for cell in set(firsts)}
+    numbers = list(map(number_of.__getitem__, firsts))
     del cells[::width]
     values = list(map(float, cells))
     # A finite sum has only finite terms.

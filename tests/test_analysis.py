@@ -497,12 +497,17 @@ class TestResultsCsv:
         first_noted = plain.replace("run,a\n", "run,a\n# note\n")
         for text in (plain, plain + "# note\n", first_noted):
             assert read_results_csv(text) == expected
-        # A bad run cell in either batch is named by its line, on either path.
+        # A bad run cell in either batch is named by its line, on either path. Of two bad
+        # run texts in one batch the earlier line is named, whichever is converted first.
         for i in (1002, 1062):
             for text, line in ((plain, i + 2), (plain + "# note\n", i + 2), (first_noted, i + 3)):
+                text = text.replace(f"\n+1,{i}\n", f"\n+1x,{i}\n")
                 with pytest.raises(ResultsFormatError) as caught:
-                    read_results_csv(text.replace(f"\n+1,{i}\n", f"\n+1x,{i}\n"))
+                    read_results_csv(text)
                 assert str(caught.value) == f"row {line}, column 'run': not an integer: '+1x'"
+                with pytest.raises(ResultsFormatError) as caught:
+                    read_results_csv(text.replace(f"\n{rows[i - 5]}\n", f"\n1e0,{i - 5}\n"))
+                assert str(caught.value) == f"row {line - 5}, column 'run': not an integer: '1e0'"
 
     def test_non_numeric_cell_names_row_and_column(self):
         with pytest.raises(ResultsFormatError, match="row 3, column 'y'"):
@@ -806,13 +811,17 @@ def _integer_table(draw):
 
     A float cell shifted into the run column fails ``int()``, so only integer
     cells show a reader that splits the cells of rows of other widths evenly.
+    A lead of 1,020-1,030 plain rows, when drawn, puts the drawn rows on either
+    side of line 1,025, the last line of the first batch.
     """
     width = draw(st.integers(2, 4))
     cells = st.integers(0, 99).map(str)
     row = st.one_of(st.just(width), st.integers(1, width + 2)).flatmap(
         lambda n: st.lists(cells, min_size=n, max_size=n)
     )
-    lines = [["run", *"abc"[: width - 1]], *draw(st.lists(row, min_size=1, max_size=8))]
+    leading = draw(st.one_of(st.just(0), st.integers(1020, 1030)))
+    lead = [["1", *[str(i)] * (width - 1)] for i in range(leading)]
+    lines = [["run", *"abc"[: width - 1]], *lead, *draw(st.lists(row, min_size=1, max_size=8))]
     return "".join(",".join(line) + "\n" for line in lines)
 
 
